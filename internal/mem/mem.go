@@ -25,8 +25,6 @@
 package mem
 
 import (
-	"fmt"
-
 	"xmtfft/internal/config"
 	"xmtfft/internal/fault"
 	"xmtfft/internal/sim"
@@ -98,12 +96,21 @@ type AccessResult struct {
 	Fault  Fault  // DRAM bit-error outcome (FaultNone unless injecting)
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
-}
+// Cache geometry: CacheBytesPerModule split into CacheLineBytes lines,
+// ways-way set associative. setsPerMM is a power of two, so a line's set
+// is its tag masked.
+const (
+	ways      = 4
+	setsPerMM = config.CacheBytesPerModule / config.CacheLineBytes / ways
+)
+
+// A cache way is one packed tag word: tag<<2 | dirty<<1 | valid. The
+// zero word is an invalid way.
+const (
+	validBit = 1
+	dirtyBit = 2
+	tagShift = 2
+)
 
 // channel is one DRAM channel: a bandwidth port plus an open-row
 // register modeling the row buffer. Statistics live here (not on the
@@ -137,14 +144,12 @@ func (ch *channel) transfer(t uint64, addr uint64) (uint64, uint64) {
 	return g, extra
 }
 
-// module is one memory module: a set-associative cache slice plus a
-// port, with its own hit/miss/queueing statistics.
+// module is one memory module: a port and a DRAM channel in front of
+// its cache slice (whose tags live in System.tags), with its own
+// hit/miss/queueing statistics.
 type module struct {
 	port    sim.Port
-	sets    [][]line
-	setMask uint64
 	channel *channel // shared DRAM channel
-	useTick uint64
 
 	hits       uint64
 	misses     uint64
@@ -165,8 +170,15 @@ type module struct {
 // System is the whole memory system for one machine configuration.
 type System struct {
 	cfg      config.Config
-	modules  []*module
-	channels []*channel
+	modules  []module
+	channels []channel
+
+	// tags holds every module's cache slice: module-major, then set, then
+	// way, one packed word per way, so a set is ways contiguous words.
+	// Each set keeps its valid ways first, in most-recently-used order,
+	// and its invalid ways last, so the last way is always the victim —
+	// an invalid way if there is one, otherwise the least recently used.
+	tags []uint64
 
 	// Prefetch enables a next-line prefetcher in each memory module
 	// (§II-A lists prefetching among XMT's performance enhancements): a
@@ -190,28 +202,46 @@ func NewSystem(cfg config.Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	lines := config.CacheBytesPerModule / config.CacheLineBytes
-	const ways = 4
-	sets := lines / ways
-	if sets == 0 || sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("mem: cache geometry gives %d sets; want a power of two", sets)
-	}
 	s := &System{cfg: cfg}
-	s.channels = make([]*channel, cfg.DRAMChannels())
+	s.channels = make([]channel, cfg.DRAMChannels())
 	for i := range s.channels {
-		s.channels[i] = &channel{port: sim.Port{Width: 1}}
+		s.channels[i].port.Width = 1
 	}
-	s.modules = make([]*module, cfg.MemModules)
+	s.modules = make([]module, cfg.MemModules)
 	for i := range s.modules {
-		m := &module{setMask: uint64(sets - 1), channel: s.channels[i/cfg.MMsPerDRAMCtrl]}
-		m.sets = make([][]line, sets)
-		backing := make([]line, sets*ways)
-		for j := range m.sets {
-			m.sets[j], backing = backing[:ways], backing[ways:]
-		}
-		s.modules[i] = m
+		s.modules[i].channel = &s.channels[i/cfg.MMsPerDRAMCtrl]
 	}
+	s.tags = make([]uint64, cfg.MemModules*setsPerMM*ways)
 	return s, nil
+}
+
+// moduleTags returns module mi's cache slice, set-major.
+func (s *System) moduleTags(mi int) []uint64 {
+	return s.tags[mi*setsPerMM*ways : (mi+1)*setsPerMM*ways]
+}
+
+// set returns the ways of the set that tag maps to in module mi.
+func (s *System) set(mi int, tag uint64) []uint64 {
+	i := (mi*setsPerMM + int(tag&(setsPerMM-1))) * ways
+	return s.tags[i : i+ways : i+ways]
+}
+
+// moveToFront stores w as the most recently used way of set, shifting
+// ways 0..i-1 one place toward the victim end over way i.
+func moveToFront(set []uint64, i int, w uint64) {
+	for ; i > 0; i-- {
+		set[i] = set[i-1]
+	}
+	set[0] = w
+}
+
+// evict writes the set's victim way back if it is valid and dirty,
+// starting the channel transfer at cycle t.
+func (m *module) evict(set []uint64, t uint64) {
+	if v := set[ways-1]; v&(validBit|dirtyBit) == validBit|dirtyBit {
+		m.channel.transfer(t, (v>>tagShift)*config.CacheLineBytes)
+		m.writebacks++
+	}
 }
 
 // Config returns the configuration the system was built for.
@@ -253,47 +283,33 @@ func (s *System) AccessModule(mi int, t uint64, addr uint64, write bool) AccessR
 }
 
 func (s *System) accessModule(mi int, t uint64, addr uint64, write bool) (AccessResult, uint64) {
-	m := s.modules[mi]
+	m := &s.modules[mi]
 
 	grant := m.port.Grant(t)
 	m.queueDelay += grant - t
 
 	tag := addr / config.CacheLineBytes
-	set := m.sets[tag&m.setMask]
-	m.useTick++
+	set := s.set(mi, tag)
+	key := tag<<tagShift | validBit
 
-	// Hit path.
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].used = m.useTick
+	// Hit path: the way becomes the most recently used.
+	for i, w := range set {
+		if w&^dirtyBit == key {
 			if write {
-				set[i].dirty = true
+				w |= dirtyBit
 			}
+			moveToFront(set, i, w)
 			m.hits++
 			return AccessResult{Done: grant + CacheHitLatency, Hit: true, Module: mi}, 0
 		}
 	}
 
-	// Miss: choose LRU victim, write back if dirty, fetch the line.
+	// Miss: evict the victim way (writing it back if dirty), fetch the
+	// line. The writeback occupies the channel but the demand fetch need
+	// not wait for its completion beyond channel serialization.
 	m.misses++
-	victim := 0
-	for i := 1; i < len(set); i++ {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].used < set[victim].used {
-			victim = i
-		}
-	}
 	start := grant + CacheHitLatency // tag check before channel request
-	if set[victim].valid && set[victim].dirty {
-		// Writeback occupies the channel but the demand fetch need not
-		// wait for its completion beyond channel serialization.
-		victimAddr := set[victim].tag * config.CacheLineBytes
-		m.channel.transfer(start, victimAddr)
-		m.writebacks++
-	}
+	m.evict(set, start)
 	fetch, activate := m.channel.transfer(start, addr)
 	done := fetch + lineTransferCycles + DRAMAccessLatency + activate
 
@@ -325,7 +341,10 @@ func (s *System) accessModule(mi int, t uint64, addr uint64, write bool) (Access
 		}
 	}
 
-	set[victim] = line{tag: tag, valid: true, dirty: write, used: m.useTick}
+	if write {
+		key |= dirtyBit
+	}
+	moveToFront(set, ways-1, key) // over the victim
 
 	return AccessResult{Done: done, Hit: false, Module: mi, Fault: fv}, start
 }
@@ -334,35 +353,22 @@ func (s *System) accessModule(mi int, t uint64, addr uint64, write bool) (Access
 // caller has determined by hashing) if absent, starting the channel
 // transfer at cycle t. The demand access that triggered it does not
 // wait; the fill consumes channel bandwidth and a cache way like any
-// other fill. Touches only module mi and its channel.
+// other fill. A resident line keeps its recency. Touches only module mi
+// and its channel.
 func (s *System) PrefetchInto(mi int, t uint64, addr uint64) {
-	m := s.modules[mi]
+	m := &s.modules[mi]
 	tag := addr / config.CacheLineBytes
-	set := m.sets[tag&m.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	set := s.set(mi, tag)
+	key := tag<<tagShift | validBit
+	for _, w := range set {
+		if w&^dirtyBit == key {
 			return // already resident
 		}
 	}
-	victim := 0
-	for i := 1; i < len(set); i++ {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].used < set[victim].used {
-			victim = i
-		}
-	}
-	if set[victim].valid && set[victim].dirty {
-		victimAddr := set[victim].tag * config.CacheLineBytes
-		m.channel.transfer(t, victimAddr)
-		m.writebacks++
-	}
+	m.evict(set, t)
 	m.channel.transfer(t, addr)
 	m.prefetches++
-	m.useTick++
-	set[victim] = line{tag: tag, valid: true, used: m.useTick}
+	moveToFront(set, ways-1, key)
 }
 
 // EnableFaults arms DRAM bit-error injection: every demand line fetch
@@ -379,8 +385,8 @@ func (s *System) EnableFaults(seed uint64, ber, dber float64, ecc bool) {
 		return
 	}
 	s.ber, s.dber, s.eccOn, s.faulted = ber, dber, ecc, true
-	for i, m := range s.modules {
-		m.faultStream = fault.NewStream(seed, fault.DomainDRAM, uint64(i))
+	for i := range s.modules {
+		s.modules[i].faultStream = fault.NewStream(seed, fault.DomainDRAM, uint64(i))
 	}
 }
 
@@ -404,16 +410,15 @@ func (s *System) ECCStats() (corrected, uncorrectable, silent uint64) {
 // Used between FFT passes when measuring pure per-pass DRAM traffic.
 func (s *System) Flush() int {
 	n := 0
-	for _, m := range s.modules {
-		for si := range m.sets {
-			for li := range m.sets[si] {
-				l := &m.sets[si][li]
-				if l.valid && l.dirty {
-					l.dirty = false
-					n++
-					m.writebacks++
-					m.channel.Bytes += config.CacheLineBytes
-				}
+	for mi := range s.modules {
+		m := &s.modules[mi]
+		tags := s.moduleTags(mi)
+		for i, w := range tags {
+			if w&(validBit|dirtyBit) == validBit|dirtyBit {
+				tags[i] = w &^ dirtyBit
+				n++
+				m.writebacks++
+				m.channel.Bytes += config.CacheLineBytes
 			}
 		}
 	}
@@ -422,15 +427,7 @@ func (s *System) Flush() int {
 
 // Invalidate drops all cached lines without writeback (test helper for
 // constructing cold-cache scenarios).
-func (s *System) Invalidate() {
-	for _, m := range s.modules {
-		for si := range m.sets {
-			for li := range m.sets[si] {
-				m.sets[si][li] = line{}
-			}
-		}
-	}
-}
+func (s *System) Invalidate() { clear(s.tags) }
 
 // Aggregate statistics, summed over modules/channels on demand. Reading
 // them concurrently with shard execution is a race; call only from

@@ -1,11 +1,12 @@
 package mem
 
 // Checkpoint state capture (internal/ckpt). The memory system's state is
-// the cache-slice contents (tags and LRU bookkeeping — data values live
-// host-side in this timing-directed model), the DRAM channels' port and
-// row-buffer state, all statistics counters, and the per-module fault
-// stream positions. Geometry (set count, associativity, channel wiring)
-// is configuration, rebuilt by NewSystem on restore, not state.
+// the cache-slice contents (tags, dirty bits and recency order — data
+// values live host-side in this timing-directed model), the DRAM
+// channels' port and row-buffer state, all statistics counters, and the
+// per-module fault stream positions. Geometry (set count, associativity,
+// channel wiring) is configuration, rebuilt by NewSystem on restore, not
+// state.
 
 import (
 	"fmt"
@@ -13,7 +14,9 @@ import (
 	"xmtfft/internal/sim"
 )
 
-// LineState is one cache line's serializable state.
+// LineState is one cache line's serializable state. Used orders the
+// valid lines of a set by recency (larger is more recent); only the
+// order matters.
 type LineState struct {
 	Tag   uint64
 	Valid bool
@@ -22,7 +25,8 @@ type LineState struct {
 }
 
 // ModuleState is one memory module's serializable state. Lines is
-// flattened set-major (set 0's ways first).
+// flattened set-major (set 0's ways first). UseTick is at least every
+// Used stamp in Lines.
 type ModuleState struct {
 	Port    sim.PortState
 	Lines   []LineState
@@ -69,10 +73,11 @@ func (s *System) CaptureState() SystemState {
 		Modules:  make([]ModuleState, len(s.modules)),
 		Channels: make([]ChannelState, len(s.channels)),
 	}
-	for i, m := range s.modules {
+	for i := range s.modules {
+		m := &s.modules[i]
 		ms := ModuleState{
 			Port:         m.port.State(),
-			UseTick:      m.useTick,
+			UseTick:      ways,
 			Hits:         m.hits,
 			Misses:       m.misses,
 			Writebacks:   m.writebacks,
@@ -81,13 +86,16 @@ func (s *System) CaptureState() SystemState {
 			ECCCorrected: m.eccCorrected,
 			ECCUncorrect: m.eccUncorrect,
 			SilentFaults: m.silentFaults,
+			Lines:        make([]LineState, setsPerMM*ways),
 		}
 		if m.faultStream != nil {
 			ms.FaultStream = m.faultStream.State()
 		}
-		for _, set := range m.sets {
-			for _, l := range set {
-				ms.Lines = append(ms.Lines, LineState{Tag: l.tag, Valid: l.valid, Dirty: l.dirty, Used: l.used})
+		for j, w := range s.moduleTags(i) {
+			if w&validBit != 0 {
+				// Position 0 of a set is its most recently used way.
+				ms.Lines[j] = LineState{Tag: w >> tagShift, Valid: true,
+					Dirty: w&dirtyBit != 0, Used: uint64(ways - j%ways)}
 			}
 		}
 		st.Modules[i] = ms
@@ -118,36 +126,34 @@ func (s *System) RestoreState(st SystemState) error {
 	if st.Faulted != s.faulted {
 		return fmt.Errorf("mem: restore fault-injection mismatch (checkpoint faulted=%v, system faulted=%v); arm EnableFaults with the captured plan before restoring", st.Faulted, s.faulted)
 	}
-	for i, m := range s.modules {
+	for i := range st.Modules {
 		ms := &st.Modules[i]
-		want := 0
-		for _, set := range m.sets {
-			want += len(set)
+		if len(ms.Lines) != setsPerMM*ways {
+			return fmt.Errorf("mem: restore module %d with %d lines, geometry has %d", i, len(ms.Lines), setsPerMM*ways)
 		}
-		if len(ms.Lines) != want {
-			return fmt.Errorf("mem: restore module %d with %d lines, geometry has %d", i, len(ms.Lines), want)
+		for _, l := range ms.Lines {
+			if l.Valid && l.Tag >= 1<<(64-tagShift) {
+				return fmt.Errorf("mem: restore module %d with line tag %#x beyond the address space", i, l.Tag)
+			}
 		}
 	}
-	for i, m := range s.modules {
+	for i := range s.modules {
+		m := &s.modules[i]
 		ms := &st.Modules[i]
 		m.port.RestoreState(ms.Port)
-		m.useTick = ms.UseTick
 		m.hits, m.misses, m.writebacks = ms.Hits, ms.Misses, ms.Writebacks
 		m.queueDelay, m.prefetches = ms.QueueDelay, ms.Prefetches
 		m.eccCorrected, m.eccUncorrect, m.silentFaults = ms.ECCCorrected, ms.ECCUncorrect, ms.SilentFaults
 		if m.faultStream != nil {
 			m.faultStream.SetState(ms.FaultStream)
 		}
-		k := 0
-		for si := range m.sets {
-			for li := range m.sets[si] {
-				l := ms.Lines[k]
-				m.sets[si][li] = line{tag: l.Tag, valid: l.Valid, dirty: l.Dirty, used: l.Used}
-				k++
-			}
+		tags := s.moduleTags(i)
+		for k := 0; k < len(tags); k += ways {
+			restoreSet(tags[k:k+ways], ms.Lines[k:k+ways])
 		}
 	}
-	for i, ch := range s.channels {
+	for i := range s.channels {
+		ch := &s.channels[i]
 		cs := &st.Channels[i]
 		ch.port.RestoreState(cs.Port)
 		ch.openRow, ch.hasRow = cs.OpenRow, cs.HasRow
@@ -155,4 +161,35 @@ func (s *System) RestoreState(st SystemState) error {
 	}
 	s.Prefetch = st.Prefetch
 	return nil
+}
+
+// restoreSet packs one set's captured lines into its ways: valid lines
+// first, most recently used (largest Used) first, ties in captured
+// order; invalid lines last.
+func restoreSet(set []uint64, lines []LineState) {
+	var order [ways]int
+	n := 0
+	for j, l := range lines {
+		if !l.Valid {
+			continue
+		}
+		// Insertion sort by descending Used; equal stamps keep their order.
+		p := n
+		for p > 0 && lines[order[p-1]].Used < l.Used {
+			order[p] = order[p-1]
+			p--
+		}
+		order[p] = j
+		n++
+	}
+	for p := range set {
+		set[p] = 0
+		if p < n {
+			l := lines[order[p]]
+			set[p] = l.Tag<<tagShift | validBit
+			if l.Dirty {
+				set[p] |= dirtyBit
+			}
+		}
+	}
 }

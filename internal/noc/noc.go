@@ -25,7 +25,6 @@ import (
 	"math/bits"
 
 	"xmtfft/internal/config"
-	"xmtfft/internal/sim"
 	"xmtfft/internal/stats"
 )
 
@@ -102,7 +101,11 @@ func (m *MoT) AddReplies(n uint64) { m.packets += n }
 type Hybrid struct {
 	latency uint64
 	ports   int
-	stages  [][]sim.Port
+	levels  int
+	// next holds each switch port's next free cycle, stage-major
+	// (level s, switch i at s*ports+i). A width-1 port needs no more
+	// state: a packet arriving at t is granted max(t, next).
+	next    []uint64
 	packets uint64
 	// Blocked accumulates cycles packets spent waiting at butterfly
 	// switches; exported for utilization reporting.
@@ -131,42 +134,36 @@ func NewHybrid(cfg config.Config) (*Hybrid, error) {
 	if b > n {
 		b = n // cannot have more routing stages than address bits
 	}
-	h := &Hybrid{
+	return &Hybrid{
 		latency: uint64(cfg.MoTLevels+cfg.ButterflyLevels) + baseLatency,
 		ports:   p,
-		stages:  make([][]sim.Port, b),
-	}
-	for s := range h.stages {
-		h.stages[s] = make([]sim.Port, p)
-	}
-	return h, nil
-}
-
-// switchIndex returns the switch a packet occupies at butterfly level s:
-// destination-tag routing has fixed the low s+1 position bits to dst's
-// by the time the packet leaves level s.
-func (h *Hybrid) switchIndex(src, dst, s int) int {
-	mask := (1 << (s + 1)) - 1
-	return (dst & mask) | (src &^ mask)
+		levels:  b,
+		next:    make([]uint64, b*p),
+	}, nil
 }
 
 // Traverse implements Network: the packet claims one slot in its switch
 // at every butterfly level in order, then completes the MoT levels.
+// Destination-tag routing has fixed the low s+1 position bits to dst's
+// by the time the packet leaves level s, so its switch there is dst's
+// low s+1 bits over src's high bits.
 func (h *Hybrid) Traverse(t uint64, src, dst int) uint64 {
 	h.packets++
-	src %= h.ports
-	dst %= h.ports
+	mask := h.ports - 1 // ports is a power of two
+	src &= mask
+	dst &= mask
 	now := t
-	for s := range h.stages {
-		idx := h.switchIndex(src, dst, s)
-		g := h.stages[s][idx].Grant(now)
-		h.Blocked += g - now
+	for s, base := 0, 0; s < h.levels; s, base = s+1, base+h.ports {
+		low := 1<<(s+1) - 1
+		i := base + (dst&low | src&^low)
+		g := max(now, h.next[i])
+		h.next[i] = g + 1
 		now = g + 1 // one cycle per level
 	}
+	h.Blocked += now - t - uint64(h.levels)
 	// Remaining (MoT + constant) latency, minus the cycles already spent
 	// stepping through butterfly levels.
-	rest := h.latency - uint64(len(h.stages))
-	arrive := now + rest
+	arrive := now + h.latency - uint64(h.levels)
 	if h.DelayHist != nil {
 		h.DelayHist.Observe(arrive - t - h.latency)
 	}

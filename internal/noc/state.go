@@ -33,7 +33,7 @@ type State struct {
 	Kind     string // "mot" or "hybrid"
 	Packets  uint64
 	Blocked  uint64            // hybrid only
-	Stages   [][]sim.PortState // hybrid only: butterfly switch ports
+	Stages   [][]sim.PortState // hybrid only: butterfly switch ports (NextFree; Used and Busy are 0)
 	Reliable *ReliableState    // non-nil when a Reliable wrapper was captured
 }
 
@@ -56,11 +56,11 @@ func CaptureState(n Network) (State, error) {
 		return State{Kind: "mot", Packets: v.packets}, nil
 	case *Hybrid:
 		st := State{Kind: "hybrid", Packets: v.packets, Blocked: v.Blocked,
-			Stages: make([][]sim.PortState, len(v.stages))}
-		for s := range v.stages {
-			st.Stages[s] = make([]sim.PortState, len(v.stages[s]))
-			for i := range v.stages[s] {
-				st.Stages[s][i] = v.stages[s][i].State()
+			Stages: make([][]sim.PortState, v.levels)}
+		for s := range st.Stages {
+			st.Stages[s] = make([]sim.PortState, v.ports)
+			for i := range st.Stages[s] {
+				st.Stages[s][i].NextFree = v.next[s*v.ports+i]
 			}
 		}
 		return st, nil
@@ -99,18 +99,18 @@ func RestoreState(n Network, st State) error {
 		if st.Kind != "hybrid" {
 			return fmt.Errorf("noc: restore %q state onto a hybrid network", st.Kind)
 		}
-		if len(st.Stages) != len(v.stages) {
-			return fmt.Errorf("noc: restore with %d butterfly stages onto %d", len(st.Stages), len(v.stages))
+		if len(st.Stages) != v.levels {
+			return fmt.Errorf("noc: restore with %d butterfly stages onto %d", len(st.Stages), v.levels)
 		}
-		for s := range v.stages {
-			if len(st.Stages[s]) != len(v.stages[s]) {
-				return fmt.Errorf("noc: restore stage %d with %d ports onto %d", s, len(st.Stages[s]), len(v.stages[s]))
+		for s := range st.Stages {
+			if len(st.Stages[s]) != v.ports {
+				return fmt.Errorf("noc: restore stage %d with %d ports onto %d", s, len(st.Stages[s]), v.ports)
 			}
 		}
 		v.packets, v.Blocked = st.Packets, st.Blocked
-		for s := range v.stages {
-			for i := range v.stages[s] {
-				v.stages[s][i].RestoreState(st.Stages[s][i])
+		for s := range st.Stages {
+			for i, ps := range st.Stages[s] {
+				v.next[s*v.ports+i] = ps.NextFree
 			}
 		}
 		return nil

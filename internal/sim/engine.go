@@ -12,79 +12,16 @@
 // carry a Caller plus two integer arguments inline in the event record,
 // so scheduling allocates nothing: the hot simulation paths (the XMT
 // machine's segment continuations) use records exclusively. Both kinds
-// share one queue and one (time, seq) order.
+// share one queue and one (time, seq) order: the slab calendar queue of
+// queue.go, which the sharded engine's shards use as well.
 package sim
 
 // Caller receives record events: op discriminates the action, a and b
-// are its arguments, and t is the cycle the event fires at.
+// are its arguments, and t is the cycle the event fires at. The engine
+// interns callers by ==, so implementations must be comparable (in
+// practice, pointers).
 type Caller interface {
 	Call(t uint64, op uint8, a, b uint64)
-}
-
-// event is one queued occurrence: either a closure (fn != nil) or a
-// pooled record dispatched through c.Call.
-type event struct {
-	time uint64 // cycle at which the event fires
-	seq  uint64 // tie-breaker preserving schedule order within a cycle
-	fn   func()
-	c    Caller
-	op   uint8
-	a, b uint64
-}
-
-// eventHeap is a hand-rolled binary min-heap ordered by (time, seq).
-// container/heap is deliberately not used: its interface methods box
-// every pushed and popped element in an interface value, allocating on
-// each operation; with millions of events per run the boxing dominates
-// the engine's cost (see BenchmarkEngineSchedule).
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // drop closure reference for GC
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && s.less(l, small) {
-			small = l
-		}
-		if r < n && s.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
-	}
-	return top
 }
 
 // Hook observes simulation-clock advances. It fires after the engine
@@ -99,11 +36,19 @@ type Hook interface {
 // Engine is a single-threaded discrete-event simulator clocked in cycles.
 // The zero value is ready to use.
 type Engine struct {
-	now    uint64
-	seq    uint64
-	events eventHeap
-	hook   Hook
-	wd     *Watchdog
+	now uint64
+	seq uint64 // events ever scheduled; the (time, seq) order is the queue's FIFO order
+	q   bucketQueue
+	// callers holds the record handlers; a record's who field is its
+	// handler's index plus one (0 marks a closure).
+	callers []Caller
+	// fns is the closure side slab, indexed by a closure record's a
+	// field; fnFree lists its vacant slots.
+	fns    []func()
+	fnFree []uint64
+
+	hook Hook
+	wd   *Watchdog
 	// Processed counts events executed; useful for progress reporting and
 	// for bounding runaway simulations in tests.
 	Processed uint64
@@ -118,11 +63,33 @@ func New() *Engine { return &Engine{} }
 // Now returns the current simulation cycle.
 func (e *Engine) Now() uint64 { return e.now }
 
+// push queues one record at cycle t, readying the ring on first use.
+func (e *Engine) push(t uint64, who uint16, op uint8, a, b uint64) {
+	if e.q.bkts == nil {
+		e.q.init(serialHorizon)
+	}
+	e.seq++
+	e.q.push(t, who, op, a, b)
+}
+
+// pushFunc parks fn in the closure slab and queues its record.
+func (e *Engine) pushFunc(t uint64, fn func()) {
+	var i uint64
+	if n := len(e.fnFree) - 1; n >= 0 {
+		i = e.fnFree[n]
+		e.fnFree = e.fnFree[:n]
+		e.fns[i] = fn
+	} else {
+		i = uint64(len(e.fns))
+		e.fns = append(e.fns, fn)
+	}
+	e.push(t, 0, 0, i, 0)
+}
+
 // Schedule runs fn after delay cycles (delay 0 means later in the current
 // cycle, after already-pending same-cycle events).
 func (e *Engine) Schedule(delay uint64, fn func()) {
-	e.seq++
-	e.events.push(event{time: e.now + delay, seq: e.seq, fn: fn})
+	e.pushFunc(e.now+delay, fn)
 }
 
 // At runs fn at the absolute cycle t. Scheduling in the past panics: it
@@ -131,8 +98,7 @@ func (e *Engine) At(t uint64, fn func()) {
 	if t < e.now {
 		panic("sim: scheduling event in the past")
 	}
-	e.seq++
-	e.events.push(event{time: t, seq: e.seq, fn: fn})
+	e.pushFunc(t, fn)
 }
 
 // AtCall schedules the record event (op, a, b) on c at the absolute
@@ -144,12 +110,26 @@ func (e *Engine) AtCall(t uint64, c Caller, op uint8, a, b uint64) {
 	if t < e.now {
 		panic("sim: scheduling event in the past")
 	}
-	e.seq++
-	e.events.push(event{time: t, seq: e.seq, c: c, op: op, a: a, b: b})
+	e.push(t, e.callerIndex(c), op, a, b)
+}
+
+// callerIndex returns c's record index, registering c on first use.
+// Models schedule through a handful of callers, so a scan is cheapest.
+func (e *Engine) callerIndex(c Caller) uint16 {
+	for i, k := range e.callers {
+		if k == c {
+			return uint16(i + 1)
+		}
+	}
+	if len(e.callers) == 1<<16-1 {
+		panic("sim: too many distinct callers")
+	}
+	e.callers = append(e.callers, c)
+	return uint16(len(e.callers))
 }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.q.count }
 
 // SetHook installs (or, with nil, removes) the clock-advance observer.
 // The hook pointer is checked on every advance, so a nil hook costs one
@@ -160,25 +140,31 @@ func (e *Engine) SetHook(h Hook) { e.hook = h }
 // Step executes the single next event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	q := &e.q
+	if q.count == 0 {
 		return false
 	}
-	ev := e.events.pop()
-	if e.wd != nil && e.wd.expired(ev.time) {
+	t := q.minTime()
+	q.advanceBase(t)
+	r := q.popFront(t)
+	if e.wd != nil && e.wd.expired(t) {
 		panic(&WatchdogError{Window: e.wd.Window, LastProgress: e.wd.last,
-			Now: ev.time, Dump: e.dumpState()})
+			Now: t, Dump: e.dumpState()})
 	}
-	if e.hook != nil && ev.time > e.now {
-		e.hook.Advance(e.now, ev.time)
+	if e.hook != nil && t > e.now {
+		e.hook.Advance(e.now, t)
 	}
-	e.now = ev.time
+	e.now = t
 	e.Processed++
-	if ev.fn != nil {
-		ev.fn()
+	if r.who == 0 {
+		fn := e.fns[r.a]
+		e.fns[r.a] = nil // drop the closure reference for GC
+		e.fnFree = append(e.fnFree, r.a)
+		fn()
 	} else {
-		ev.c.Call(ev.time, ev.op, ev.a, ev.b)
+		e.callers[r.who-1].Call(t, r.op, r.a, r.b)
 	}
-	if e.tel != nil && (e.Processed-e.telFlushed >= telemetryBatch || len(e.events) == 0) {
+	if e.tel != nil && (e.Processed-e.telFlushed >= telemetryBatch || q.count == 0) {
 		e.publishTelemetry()
 	}
 	return true
@@ -194,10 +180,10 @@ func (e *Engine) Run() uint64 {
 // RunUntil executes events with time <= limit. Events beyond the limit
 // remain queued. It returns the current cycle afterwards.
 func (e *Engine) RunUntil(limit uint64) uint64 {
-	for len(e.events) > 0 && e.events[0].time <= limit {
+	for e.q.count > 0 && e.q.minTime() <= limit {
 		e.Step()
 	}
-	if e.now < limit && len(e.events) == 0 {
+	if e.now < limit && e.q.count == 0 {
 		if e.hook != nil {
 			e.hook.Advance(e.now, limit)
 		}

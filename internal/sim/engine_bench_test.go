@@ -41,8 +41,50 @@ func BenchmarkEngineScheduleRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkShardSchedule measures the sharded engine's calendar-queue
-// path for comparison with the binary heap above.
+// BenchmarkEngineScheduleRecordOverflow schedules every record beyond
+// the serial ring, so each batch goes through the overflow heap and is
+// promoted into the ring before it runs.
+func BenchmarkEngineScheduleRecordOverflow(b *testing.B) {
+	e := New()
+	c := &benchCaller{}
+	const batch = 1024
+	b.ReportAllocs()
+	for i := 0; i < b.N; i += batch {
+		scheduleOverflowBatch(e, c, batch)
+		e.Run()
+	}
+}
+
+// scheduleOverflowBatch queues n records spread over 16 cycles just
+// past the serial engine's ring.
+func scheduleOverflowBatch(e *Engine, c Caller, n int) {
+	base := e.Now() + serialHorizon
+	for j := 0; j < n; j++ {
+		e.AtCall(base+uint64(j%16), c, 0, uint64(j), 0)
+	}
+}
+
+// TestEngineRecordOverflowZeroAllocs is the serial engine's zero-alloc
+// contract on the overflow path: once the slab, the freelist and the
+// overflow heap are warm, scheduling and running records allocates
+// nothing.
+func TestEngineRecordOverflowZeroAllocs(t *testing.T) {
+	e := New()
+	c := &benchCaller{}
+	scheduleOverflowBatch(e, c, 256)
+	e.Run()
+	allocs := testing.AllocsPerRun(50, func() {
+		scheduleOverflowBatch(e, c, 256)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("overflow schedule/run allocates %.1f times per batch, want 0", allocs)
+	}
+}
+
+// BenchmarkShardSchedule measures the same schedule/dispatch loop
+// through the sharded engine's serial driver, for comparison with the
+// serial engine above.
 func BenchmarkShardSchedule(b *testing.B) {
 	e := NewParallelEngine(staticPartition{1, 16}, 1)
 	var sum uint64

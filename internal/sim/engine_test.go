@@ -307,6 +307,55 @@ func TestGrantNSharesSlots(t *testing.T) {
 	}
 }
 
+// refGrantN is the per-slot definition GrantN and GrantNLast must match:
+// n successive Grant(t) calls, returning the first and the latest slot.
+func refGrantN(p *Port, t, n uint64) (first, last uint64) {
+	if n == 0 {
+		return t, t
+	}
+	first = p.Grant(t)
+	last = first
+	for i := uint64(1); i < n; i++ {
+		if g := p.Grant(t); g > last {
+			last = g
+		}
+	}
+	return first, last
+}
+
+// TestGrantNClosedFormMatchesPerSlot checks the O(1) GrantN/GrantNLast
+// against the per-slot loop from random port states, including the
+// zero-value width-0 port and over-full cycles (used >= Width).
+func TestGrantNClosedFormMatchesPerSlot(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 20000; iter++ {
+		w := uint64(rng.Intn(7)) // 0 = zero-value port, granting as width 1
+		start := PortState{
+			NextFree: uint64(rng.Intn(64)),
+			Used:     uint64(rng.Intn(int(w) + 3)),
+			Busy:     uint64(rng.Intn(1000)),
+		}
+		tm := uint64(rng.Intn(96))
+		n := uint64(rng.Intn(48))
+		ref := Port{Width: w}
+		ref.RestoreState(start)
+		wantFirst, wantLast := refGrantN(&ref, tm, n)
+
+		p := Port{Width: w}
+		p.RestoreState(start)
+		if got := p.GrantN(tm, n); got != wantFirst || p.State() != ref.State() {
+			t.Fatalf("width %d from %+v: GrantN(%d, %d) = %d, state %+v; per-slot gives %d, state %+v",
+				w, start, tm, n, got, p.State(), wantFirst, ref.State())
+		}
+		q := Port{Width: w}
+		q.RestoreState(start)
+		if got := q.GrantNLast(tm, n); got != wantLast || q.State() != ref.State() {
+			t.Fatalf("width %d from %+v: GrantNLast(%d, %d) = %d, state %+v; per-slot gives %d, state %+v",
+				w, start, tm, n, got, q.State(), wantLast, ref.State())
+		}
+	}
+}
+
 func TestEngineProcessedCount(t *testing.T) {
 	e := New()
 	for i := 0; i < 5; i++ {

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Conservative parallel discrete-event simulation (PDES) with time
 // windows. State is partitioned into shards that interact only through
@@ -11,20 +14,16 @@ import "fmt"
 // exceed the minimum cross-shard effect latency, so no message ever
 // needs to take effect inside the window it was sent in — the classic
 // conservative-synchronization safety condition. Under that condition
-// the serial driver (shards advanced one after another) and the
-// parallel driver (shards advanced on worker goroutines) execute the
-// exact same events in the exact same per-shard order with the exact
-// same barrier merges, making cycle counts and statistics bit-identical
-// for every worker count. See DESIGN.md §7.
+// the serial driver (one shared queue, events popped in global time
+// order) and the parallel driver (a queue per shard, shards advanced on
+// worker goroutines) execute the exact same events in the exact same
+// per-shard order with the exact same barrier merges, making cycle
+// counts and statistics bit-identical for every worker count. See
+// DESIGN.md §7.
 //
-// Per-shard pending events live in a slab-backed calendar queue: per-
-// cycle FIFO bucket chains over a fixed horizon whose records live in
-// one reusable flat slab (plus a min-heap overflow for far-future
-// events). Scheduling and popping are O(1), allocation-free in steady
-// state, and touch only two small contiguous arrays — the design exists
-// because the previous ring of 2048 independent []evRec slices put a
-// cache miss on nearly every push (it was the single hottest function
-// in the engine profile).
+// Pending events live in the slab-backed calendar queue of queue.go: a
+// serialHorizon ring for the serial driver's shared queue, a
+// horizonCycles ring per shard for the parallel driver.
 
 // Message is one cross-shard event, emitted by a shard during a window
 // and delivered to the coordinator's barrier function at the end of that
@@ -57,223 +56,30 @@ type Partition interface {
 	Lookahead() uint64
 }
 
-// horizonCycles is the bucket ring span. Events further out than this go
-// to the overflow heap; with DRAM round-trips around 130 cycles nearly
-// all traffic stays in the ring.
-const horizonCycles = 2048
-
-// nilIdx terminates a bucket chain.
-const nilIdx = int32(-1)
-
-// noEvent is the cached next-event time of a shard with an empty queue.
-const noEvent = ^uint64(0)
-
-// slabRec is one bucketed event record in the shared slab. Bucketed
-// records carry no time (the bucket's cycle is the time) and no sequence
-// number (FIFO order is the chain order), so a record is 24 bytes
-// instead of the 40 the old per-bucket evRec cost.
-type slabRec struct {
-	a, b uint64
-	next int32 // next record in the same bucket chain, nilIdx at the tail
-	op   uint8
-}
-
-// evRec is one far-future event in the overflow heap, which does need
-// the absolute time and an insertion sequence for its (time, seq) order.
-type evRec struct {
-	time uint64
-	seq  uint64
-	op   uint8
-	a, b uint64
-}
-
-// bucketQueue is a slab-backed calendar queue: per-cycle FIFO bucket
-// chains over [base, base+horizon) plus a (time, seq) min-heap for
-// events beyond the horizon. The buckets themselves are flattened into
-// two parallel int32 arrays (head, tail) and all records share one
-// reusable slab with a LIFO freelist: pushing allocates nothing and
-// re-makes nothing, it links a recycled slab slot into a chain.
-//
-// Invariants (audited in slabqueue_test.go against a naive reference):
-//   - base only moves forward; every queued event has time >= base, so
-//     each bucket holds events of exactly one cycle at a time and the
-//     membership test `t-base < horizonCycles` is safe even when base
-//     approaches the top of the uint64 range (t >= base makes the
-//     subtraction wrap-free).
-//   - scan <= the earliest bucketed cycle, so min scans never walk
-//     backwards and never alias a bucket from a later ring lap.
-//   - overflow times are >= base+horizon after every advanceBase, so
-//     promotions always complete before a same-cycle direct push can
-//     occur, preserving FIFO-within-cycle across the two structures.
-type bucketQueue struct {
-	head [horizonCycles]int32
-	tail [horizonCycles]int32
-	recs []slabRec
-	free []int32
-
-	base     uint64 // all queued events have time >= base
-	scan     uint64 // first cycle possibly holding a bucketed event
-	count    int    // bucketed + overflow
-	bucketed int
-	overflow recHeap
-	seq      uint64 // overflow insertion order (heap tiebreak only)
-}
-
-// init readies the flattened bucket arrays (empty = nilIdx).
-func (q *bucketQueue) init() {
-	for i := range q.head {
-		q.head[i] = nilIdx
-		q.tail[i] = nilIdx
-	}
-}
-
-func (q *bucketQueue) push(t uint64, op uint8, a, b uint64) {
-	if t-q.base < horizonCycles {
-		q.pushBucket(t, op, a, b)
-	} else {
-		q.seq++
-		q.overflow.push(evRec{time: t, seq: q.seq, op: op, a: a, b: b})
-	}
-	q.count++
-}
-
-// pushBucket links a record into the bucket chain of cycle t, recycling
-// a freed slab slot when one exists.
-func (q *bucketQueue) pushBucket(t uint64, op uint8, a, b uint64) {
-	var idx int32
-	if n := len(q.free) - 1; n >= 0 {
-		idx = q.free[n]
-		q.free = q.free[:n]
-	} else {
-		idx = int32(len(q.recs))
-		q.recs = append(q.recs, slabRec{})
-	}
-	q.recs[idx] = slabRec{a: a, b: b, next: nilIdx, op: op}
-	bkt := t % horizonCycles
-	if tl := q.tail[bkt]; tl >= 0 {
-		q.recs[tl].next = idx
-	} else {
-		q.head[bkt] = idx
-		if t < q.scan {
-			q.scan = t
-		}
-	}
-	q.tail[bkt] = idx
-	q.bucketed++
-}
-
-// minTime returns the earliest queued event time, or noEvent when the
-// queue is empty. It advances the scan pointer past empty buckets as a
-// side effect (safe: scan only skips cycles proven empty).
-func (q *bucketQueue) minTime() uint64 {
-	best := noEvent
-	if q.bucketed > 0 {
-		c := q.scan
-		for q.head[c%horizonCycles] < 0 {
-			c++
-		}
-		q.scan = c
-		best = c
-	}
-	if len(q.overflow) > 0 && q.overflow[0].time < best {
-		best = q.overflow[0].time
-	}
-	return best
-}
-
-// min returns the earliest queued event time; ok is false when empty.
-func (q *bucketQueue) min() (uint64, bool) {
-	if q.count == 0 {
-		return 0, false
-	}
-	return q.minTime(), true
-}
-
-// advanceBase moves the ring floor to t (all events below t must already
-// be executed) and promotes overflow events that now fit the horizon, in
-// (time, seq) order so FIFO-within-cycle is preserved.
-func (q *bucketQueue) advanceBase(t uint64) {
-	if t <= q.base {
-		return
-	}
-	q.base = t
-	if q.scan < t {
-		q.scan = t
-	}
-	// Overflow times are >= base (events below base are already
-	// executed), so the wrap-free membership test applies here too.
-	for len(q.overflow) > 0 && q.overflow[0].time-q.base < horizonCycles {
-		r := q.overflow.pop()
-		q.pushBucket(r.time, r.op, r.a, r.b)
-	}
-}
-
-// recHeap is a (time, seq) min-heap for overflow events.
-type recHeap []evRec
-
-func (h recHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *recHeap) push(r evRec) {
-	*h = append(*h, r)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *recHeap) pop() evRec {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	*h = s[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && s.less(l, small) {
-			small = l
-		}
-		if r < n && s.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
-	}
-	return top
-}
-
-// Shard is one partition of simulation state: a clock, a calendar queue
-// of pending local events, and an outbox of messages for the next
-// barrier. During a window a shard is touched only by its own handler
-// (possibly on a worker goroutine); between windows only by the
-// coordinator.
+// Shard is one partition of simulation state: a clock, its pending
+// local events, and an outbox of messages for the next barrier. During a
+// window a shard is touched only by its own handler (possibly on a
+// worker goroutine); between windows only by the coordinator.
 type Shard struct {
-	ID int
-
-	handler ShardHandler
-	now     uint64
-	q       bucketQueue
-	out     []Message
 	// nextMin caches the earliest pending event time (noEvent when the
 	// queue is empty). At lowers it, runWindow recomputes it, and the
 	// engine's window loop reads it instead of rescanning bucket rings —
 	// the basis of the adaptive frontier jump and the idle-shard skip.
+	// It and out lead the struct because the parallel driver reads both
+	// for every shard on every window.
 	nextMin uint64
+	out     []Message
+
+	ID int
+
+	eng     *ParallelEngine
+	handler ShardHandler
+	now     uint64
+	// q holds the shard's events under the parallel driver. Under the
+	// serial driver they live in the engine's shared queue and pending
+	// counts them.
+	q       bucketQueue
+	pending int
 	// Processed counts events executed on this shard.
 	Processed uint64
 }
@@ -282,7 +88,12 @@ type Shard struct {
 func (s *Shard) Now() uint64 { return s.now }
 
 // Pending reports the number of events queued on this shard.
-func (s *Shard) Pending() int { return s.q.count }
+func (s *Shard) Pending() int {
+	if s.eng.shared {
+		return s.pending
+	}
+	return s.q.count
+}
 
 // At schedules a local event at the absolute cycle t. Scheduling in the
 // shard's past panics — inside a window that means before the event
@@ -292,10 +103,20 @@ func (s *Shard) At(t uint64, op uint8, a, b uint64) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling shard event in the past: t=%d now=%d shard=%d op=%d a=%d b=%d", t, s.now, s.ID, op, a, b))
 	}
+	if e := s.eng; e.shared {
+		// The shared ring floor is the running window's start, or the
+		// barrier time between windows.
+		if t < e.q.base {
+			panic(fmt.Sprintf("sim: scheduling shard event before the window barrier: t=%d barrier=%d shard=%d op=%d", t, e.q.base, s.ID, op))
+		}
+		s.pending++
+		e.q.push(t, uint16(s.ID), op, a, b)
+		return
+	}
 	if t < s.nextMin {
 		s.nextMin = t
 	}
-	s.q.push(t, op, a, b)
+	s.q.push(t, 0, op, a, b)
 }
 
 // Send emits a cross-shard message, delivered to the engine's barrier
@@ -324,32 +145,17 @@ func (s *Shard) runWindow(start, end uint64) {
 	// window < horizon is checked at construction).
 	q.advanceBase(start)
 	for q.bucketed > 0 {
-		c := q.scan
-		for q.head[c%horizonCycles] < 0 {
-			c++
-		}
-		q.scan = c
+		c := q.firstBucketed()
 		if c >= end {
 			break
 		}
 		s.now = c
-		b := c % horizonCycles
-		// Walk the bucket chain; the handler may append same-cycle
-		// events, which link themselves behind the current record, so the
-		// chain link is re-read only after the handler has run (and the
-		// slab may have been reallocated by a push — index it fresh).
-		for cur := q.head[b]; cur >= 0; cur = q.head[b] {
-			r := q.recs[cur]
+		// Drain the cycle's chain; the handler may append same-cycle
+		// events, which link in behind the records still queued.
+		for q.bkts[c&q.mask].head >= 0 {
+			r := q.popFront(c)
 			s.Processed++
 			s.handler.Event(s, c, r.op, r.a, r.b)
-			nxt := q.recs[cur].next
-			q.head[b] = nxt
-			if nxt < 0 {
-				q.tail[b] = nilIdx
-			}
-			q.free = append(q.free, cur)
-			q.bucketed--
-			q.count--
 		}
 	}
 	s.now = end
@@ -360,7 +166,18 @@ func (s *Shard) runWindow(start, end uint64) {
 // ParallelEngine advances a set of shards under conservative time
 // windows. Construct with NewParallelEngine, assign a handler per shard
 // and a barrier function, then call Run. The engine is quiescent between
-// Run calls; Workers only changes wall-clock behaviour, never results.
+// Run calls; the worker count only changes wall-clock behaviour, never
+// results.
+//
+// The worker count fixes the driver at construction. With one worker (or
+// one shard) the serial driver keeps every shard's events in one shared
+// calendar queue, tagged with the shard index, and pops each window's
+// events in global (time, FIFO) order. Per shard that is the same event
+// order as advancing the shards one after another, and a shard event
+// touches only its own shard, so the result is the same; what changes is
+// that one hot ring replaces a cold ring per shard. With more workers
+// the parallel driver keeps a queue per shard and advances the shards on
+// goroutines.
 type ParallelEngine struct {
 	shards  []Shard
 	window  uint64
@@ -369,10 +186,13 @@ type ParallelEngine struct {
 	wd      *Watchdog
 	now     uint64
 
-	// Workers is the number of goroutines advancing shards inside a
-	// window (values < 2 select the inline serial driver). Because shard
-	// execution is identical either way, results do not depend on it.
-	Workers int
+	// workers is the number of goroutines advancing shards inside a
+	// window. With fewer than two workers or two shards there is nothing
+	// to run concurrently, and shared selects the serial driver, whose
+	// queue is q.
+	workers int
+	shared  bool
+	q       bucketQueue
 
 	// WidenWindows (default true, set by NewParallelEngine) enables the
 	// adaptive window driver: the frontier jumps straight to the cached
@@ -383,7 +203,9 @@ type ParallelEngine struct {
 	// conservative reference driver — every window rescans every queue
 	// and steps every shard — which executes the exact same events in
 	// the exact same order; the differential tests assert bit-identical
-	// results between the two drivers at several worker counts.
+	// results between the two drivers at several worker counts. Only the
+	// parallel driver reads it: the serial driver has no per-shard rings
+	// to rescan and no idle shards to step.
 	WidenWindows bool
 
 	// Window/merge statistics for perf diagnostics. Windows counts
@@ -394,8 +216,10 @@ type ParallelEngine struct {
 	Barriers uint64
 	Messages uint64
 
+	// Scratch of collect, reused across windows.
 	merged  []Message
-	cursors []int // per-shard outbox cursors of collect, reused
+	senders []int32 // shards with a non-empty outbox
+	slots   []int   // per-cycle merge slots
 
 	tel             *Telemetry
 	telShardFlushed []uint64 // per-shard Processed at the last shard sweep
@@ -413,15 +237,28 @@ func NewParallelEngine(p Partition, workers int) *ParallelEngine {
 	if w == 0 || w >= horizonCycles {
 		panic("sim: lookahead window must be in [1, horizon)")
 	}
-	e := &ParallelEngine{shards: make([]Shard, n), window: w, Workers: workers,
-		WidenWindows: true}
+	e := &ParallelEngine{shards: make([]Shard, n), window: w, workers: workers,
+		WidenWindows: true, shared: workers < 2 || n < 2}
+	if e.shared {
+		if n > 1<<16 {
+			panic("sim: the serial driver tags events with a 16-bit shard index")
+		}
+		e.q.init(serialHorizon)
+	}
 	for i := range e.shards {
-		e.shards[i].ID = i
-		e.shards[i].nextMin = noEvent
-		e.shards[i].q.init()
+		sh := &e.shards[i]
+		sh.ID = i
+		sh.eng = e
+		sh.nextMin = noEvent
+		if !e.shared {
+			sh.q.init(horizonCycles)
+		}
 	}
 	return e
 }
+
+// Workers returns the worker count the engine was built with.
+func (e *ParallelEngine) Workers() int { return e.workers }
 
 // Shard returns shard i, for handler assignment and event insertion by
 // the coordinator (only between windows).
@@ -451,6 +288,9 @@ func (e *ParallelEngine) Now() uint64 { return e.now }
 
 // Pending reports the total number of queued events across shards.
 func (e *ParallelEngine) Pending() int {
+	if e.shared {
+		return e.q.count
+	}
 	n := 0
 	for i := range e.shards {
 		n += e.shards[i].q.count
@@ -491,39 +331,35 @@ func (e *ParallelEngine) minNextScan() (uint64, bool) {
 // event (idle gaps are skipped, so sparse schedules don't pay per-cycle
 // costs).
 func (e *ParallelEngine) Run() uint64 {
-	workers := e.Workers
-	if workers > len(e.shards) {
-		workers = len(e.shards)
+	if e.shared {
+		return e.runShared()
 	}
+	workers := min(e.workers, len(e.shards))
 	adaptive := e.WidenWindows
-	var starts []chan [2]uint64
-	var done chan struct{}
-	if workers > 1 {
-		starts = make([]chan [2]uint64, workers)
-		done = make(chan struct{}, workers)
-		for w := 0; w < workers; w++ {
-			starts[w] = make(chan [2]uint64, 1)
-			go func(w int) {
-				for win := range starts[w] {
-					for si := w; si < len(e.shards); si += workers {
-						// Idle-shard skip: a shard with no events before
-						// the window end has nothing to run; its clock and
-						// ring floor catch up lazily on its next active
-						// window (runWindow tolerates a stale clock).
-						if !adaptive || e.shards[si].nextMin < win[1] {
-							e.shards[si].runWindow(win[0], win[1])
-						}
+	starts := make([]chan [2]uint64, workers)
+	done := make(chan struct{}, workers)
+	for w := 0; w < workers; w++ {
+		starts[w] = make(chan [2]uint64, 1)
+		go func(w int) {
+			for win := range starts[w] {
+				for si := w; si < len(e.shards); si += workers {
+					// Idle-shard skip: a shard with no events before the
+					// window end has nothing to run; its clock and ring
+					// floor catch up lazily on its next active window
+					// (runWindow tolerates a stale clock).
+					if !adaptive || e.shards[si].nextMin < win[1] {
+						e.shards[si].runWindow(win[0], win[1])
 					}
-					done <- struct{}{}
 				}
-			}(w)
-		}
-		defer func() {
-			for _, c := range starts {
-				close(c)
+				done <- struct{}{}
 			}
-		}()
+		}(w)
 	}
+	defer func() {
+		for _, c := range starts {
+			close(c)
+		}
+	}()
 
 	for {
 		var start uint64
@@ -534,51 +370,113 @@ func (e *ParallelEngine) Run() uint64 {
 			start, ok = e.minNextScan()
 		}
 		if !ok {
-			if e.tel != nil {
-				e.publishShards()
-			}
-			return e.now
+			return e.finishRun()
 		}
-		if e.wd != nil && e.wd.expired(start) {
-			panic(&WatchdogError{Window: e.wd.Window, LastProgress: e.wd.last,
-				Now: start, Dump: e.dumpState()})
+		end := e.beginWindow(start)
+		for _, c := range starts {
+			c <- [2]uint64{start, end}
 		}
-		end := start + e.window
-		e.Windows++
-		if workers > 1 {
-			for _, c := range starts {
-				c <- [2]uint64{start, end}
+		for range starts {
+			<-done
+		}
+		senders := e.senders[:0]
+		for i := range e.shards {
+			if len(e.shards[i].out) > 0 {
+				senders = append(senders, int32(i))
 			}
-			for range starts {
-				<-done
+		}
+		e.senders = senders
+		e.endWindow(start, end)
+	}
+}
+
+// runShared is Run's serial driver over the shared queue.
+func (e *ParallelEngine) runShared() uint64 {
+	q := &e.q
+	for q.count > 0 {
+		start := q.minTime()
+		end := e.beginWindow(start)
+		// Every window event is bucketed: advanceBase promotes overflow
+		// within the horizon, which covers the window.
+		q.advanceBase(start)
+		senders := e.senders[:0]
+		for q.bucketed > 0 {
+			c := q.firstBucketed()
+			if c >= end {
+				break
 			}
-		} else {
-			for i := range e.shards {
-				if !adaptive || e.shards[i].nextMin < end {
-					e.shards[i].runWindow(start, end)
+			for q.bkts[c&q.mask].head >= 0 {
+				r := q.popFront(c)
+				sh := &e.shards[r.who]
+				sent := len(sh.out)
+				sh.now = c
+				sh.pending--
+				sh.Processed++
+				sh.handler.Event(sh, c, r.op, r.a, r.b)
+				// Like the parallel driver, leave an active shard's
+				// clock at the window end.
+				sh.now = end
+				if sent == 0 && len(sh.out) > 0 {
+					senders = append(senders, int32(r.who))
 				}
 			}
 		}
-		prev := e.now
-		e.now = end
-		if e.hook != nil {
-			e.hook.Advance(prev, end)
-		}
-		if msgs := e.collect(start); len(msgs) > 0 {
-			e.Barriers++
-			e.Messages += uint64(len(msgs))
-			e.barrier(msgs)
-		}
-		if e.tel != nil {
-			// Shards are parked at the barrier here, so a full sweep is
-			// race-free; the cheap frontier publish covers other windows.
-			if e.Windows%telemetryWindowStride == 0 {
-				e.publishShards()
-			} else {
-				e.publishWindow()
-			}
+		q.advanceBase(end)
+		// collect merges in shard order.
+		slices.Sort(senders)
+		e.senders = senders
+		e.endWindow(start, end)
+	}
+	return e.finishRun()
+}
+
+// beginWindow opens the window starting at the earliest pending event
+// and returns its end, aborting through the watchdog when the model has
+// stopped making progress.
+func (e *ParallelEngine) beginWindow(start uint64) uint64 {
+	if e.wd != nil && e.wd.expired(start) {
+		panic(&WatchdogError{Window: e.wd.Window, LastProgress: e.wd.last,
+			Now: start, Dump: e.dumpState()})
+	}
+	e.Windows++
+	return start + e.window
+}
+
+// endWindow closes a window whose events have run and whose senders are
+// listed in e.senders: it moves the engine clock to end, fires the hook,
+// delivers the merged messages to the barrier and clears the outboxes.
+func (e *ParallelEngine) endWindow(start, end uint64) {
+	prev := e.now
+	e.now = end
+	if e.hook != nil {
+		e.hook.Advance(prev, end)
+	}
+	if msgs := e.collect(start); len(msgs) > 0 {
+		e.Barriers++
+		e.Messages += uint64(len(msgs))
+		e.barrier(msgs)
+		for _, i := range e.senders {
+			e.shards[i].out = e.shards[i].out[:0]
 		}
 	}
+	if e.tel != nil {
+		// Shards are parked at the barrier here, so a full sweep is
+		// race-free; the cheap frontier publish covers other windows.
+		if e.Windows%telemetryWindowStride == 0 {
+			e.publishShards()
+		} else {
+			e.publishWindow()
+		}
+	}
+}
+
+// finishRun publishes the final telemetry of a drained run and returns
+// the engine clock.
+func (e *ParallelEngine) finishRun() uint64 {
+	if e.tel != nil {
+		e.publishShards()
+	}
+	return e.now
 }
 
 // AdvanceTo moves the quiescent engine's clock (and every shard's) to t,
@@ -598,6 +496,7 @@ func (e *ParallelEngine) AdvanceTo(t uint64) {
 		}
 		e.shards[i].q.advanceBase(t)
 	}
+	e.q.advanceBase(t)
 	if t > e.now {
 		if e.hook != nil {
 			e.hook.Advance(e.now, t)
@@ -609,63 +508,56 @@ func (e *ParallelEngine) AdvanceTo(t uint64) {
 	}
 }
 
-// collect gathers all shard outboxes into one batch in (time, shard,
-// send order) order — a total order, since each outbox is positionally
-// ordered — and clears the outboxes. No comparison sort and no per-
-// message scatter are needed: every message's time lies in the just-
-// finished window [start, start+W) (Send stamps the sending event's
-// cycle) and each outbox is already time-sorted, so one cursor per
-// shard walks the outboxes cycle by cycle, copying each shard's run of
-// same-cycle messages in a single batched append. Each message is
-// copied exactly once, at the window barrier, rather than per Send.
+// collect returns the window's messages from the outboxes of e.senders
+// in (time, shard, send order) order — a total order, since each outbox
+// is positionally ordered. Run clears the outboxes after the barrier. A
+// lone sender's outbox already is that order and is returned uncopied.
+// Otherwise, since every message's time lies in the just-finished window
+// [start, start+W) (Send stamps the sending event's cycle), a stable
+// counting sort on the cycle offset merges the outboxes: count per
+// cycle, prefix-sum the counts into slots, then scatter the outboxes in
+// shard order.
 func (e *ParallelEngine) collect(start uint64) []Message {
-	total, active, lastIdx := 0, 0, -1
-	for i := range e.shards {
-		if n := len(e.shards[i].out); n > 0 {
-			total += n
-			active++
-			lastIdx = i
-		}
-	}
-	if total == 0 {
+	senders := e.senders
+	switch len(senders) {
+	case 0:
 		return nil
+	case 1:
+		return e.shards[senders[0]].out
 	}
-	m := e.merged[:0]
-	if active == 1 {
-		// One sender: its outbox is already the merge order.
-		sh := &e.shards[lastIdx]
-		m = append(m, sh.out...)
-		sh.out = sh.out[:0]
-		e.merged = m
-		return m
+	total := 0
+	if uint64(len(e.slots)) < e.window {
+		e.slots = make([]int, e.window)
 	}
-	if len(e.cursors) < len(e.shards) {
-		e.cursors = make([]int, len(e.shards))
+	slots := e.slots[:e.window]
+	for i := range slots {
+		slots[i] = 0
 	}
-	cur := e.cursors
-	for i := range cur {
-		cur[i] = 0
-	}
-	for t := start; len(m) < total && t-start < e.window; t++ {
-		for i := range e.shards {
-			out := e.shards[i].out
-			j := cur[i]
-			if j >= len(out) || out[j].Time != t {
-				continue
+	for _, i := range senders {
+		for _, msg := range e.shards[i].out {
+			d := msg.Time - start
+			if d >= e.window {
+				panic("sim: message stamped outside its sending window")
 			}
-			k := j + 1
-			for k < len(out) && out[k].Time == t {
-				k++
-			}
-			m = append(m, out[j:k]...)
-			cur[i] = k
+			slots[d]++
 		}
+		total += len(e.shards[i].out)
 	}
-	if len(m) != total {
-		panic("sim: message stamped outside its sending window")
+	sum := 0
+	for d, c := range slots {
+		slots[d] = sum
+		sum += c
 	}
-	for i := range e.shards {
-		e.shards[i].out = e.shards[i].out[:0]
+	if cap(e.merged) < total {
+		e.merged = make([]Message, total)
+	}
+	m := e.merged[:total]
+	for _, i := range senders {
+		for _, msg := range e.shards[i].out {
+			d := msg.Time - start
+			m[slots[d]] = msg
+			slots[d]++
+		}
 	}
 	e.merged = m
 	return m

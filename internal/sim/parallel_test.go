@@ -101,6 +101,15 @@ func TestParallelEngineWorkerCountInvariance(t *testing.T) {
 				workers, m.msgs, m.eng.Windows, m.eng.Now(),
 				ref.msgs, ref.eng.Windows, ref.eng.Now())
 		}
+		// Shard clocks and counts are checkpointed state, so the serial
+		// and parallel drivers must leave them identical too.
+		for i := 0; i < m.eng.Shards(); i++ {
+			got, want := m.eng.Shard(i), ref.eng.Shard(i)
+			if got.Now() != want.Now() || got.Processed != want.Processed {
+				t.Fatalf("workers=%d: shard %d now=%d processed=%d, want %d/%d",
+					workers, i, got.Now(), got.Processed, want.Now(), want.Processed)
+			}
+		}
 	}
 }
 
@@ -109,7 +118,9 @@ func TestParallelEngineWorkerCountInvariance(t *testing.T) {
 // skips and barrier elision may only change the window accounting, never
 // the executed events, the message stream or the final clock.
 func TestParallelEngineWidenWindowsDifferential(t *testing.T) {
-	ref := newRingModel(7, 6, 1)
+	// The reference is the parallel driver's fixed-window mode (the
+	// serial driver has no window modes).
+	ref := newRingModel(7, 6, 2)
 	ref.eng.WidenWindows = false
 	ref.run()
 	if len(ref.log) == 0 || ref.msgs == 0 {
@@ -133,23 +144,25 @@ func TestParallelEngineWidenWindowsDifferential(t *testing.T) {
 }
 
 func TestShardSameCycleFIFO(t *testing.T) {
-	e := NewParallelEngine(staticPartition{1, 4}, 1)
-	var got []uint64
-	e.SetHandler(0, handlerFunc(func(sh *Shard, tm uint64, op uint8, a, b uint64) {
-		got = append(got, a)
-		if op == 1 {
-			// Same-cycle append from inside the bucket drain.
-			sh.At(tm, 0, a+100, 0)
+	for _, workers := range []int{1, 2} { // serial and parallel drivers
+		e := NewParallelEngine(staticPartition{2, 4}, workers)
+		var got []uint64
+		e.SetHandler(0, handlerFunc(func(sh *Shard, tm uint64, op uint8, a, b uint64) {
+			got = append(got, a)
+			if op == 1 {
+				// Same-cycle append from inside the bucket drain.
+				sh.At(tm, 0, a+100, 0)
+			}
+		}))
+		sh := e.Shard(0)
+		for i := 0; i < 5; i++ {
+			sh.At(9, 1, uint64(i), 0)
 		}
-	}))
-	sh := e.Shard(0)
-	for i := 0; i < 5; i++ {
-		sh.At(9, 1, uint64(i), 0)
-	}
-	e.Run()
-	want := []uint64{0, 1, 2, 3, 4, 100, 101, 102, 103, 104}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("same-cycle order = %v, want %v", got, want)
+		e.Run()
+		want := []uint64{0, 1, 2, 3, 4, 100, 101, 102, 103, 104}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("same-cycle order = %v, want %v", got, want)
+		}
 	}
 }
 
@@ -159,69 +172,97 @@ type handlerFunc func(sh *Shard, t uint64, op uint8, a, b uint64)
 func (f handlerFunc) Event(sh *Shard, t uint64, op uint8, a, b uint64) { f(sh, t, op, a, b) }
 
 func TestShardAtPastPanics(t *testing.T) {
-	e := NewParallelEngine(staticPartition{1, 4}, 1)
+	for _, workers := range []int{1, 2} { // serial and parallel drivers
+		e := NewParallelEngine(staticPartition{2, 4}, workers)
+		e.SetHandler(0, handlerFunc(func(sh *Shard, tm uint64, op uint8, a, b uint64) {
+			defer func() {
+				if recover() == nil {
+					t.Error("At in the shard's past did not panic")
+				}
+			}()
+			sh.At(tm-1, 0, 0, 0)
+		}))
+		e.Shard(0).At(10, 0, 0, 0)
+		e.Run()
+	}
+}
+
+// TestSharedQueueBarrierPanics pins the serial driver's contract check:
+// the coordinator may not schedule before the barrier time, even on a
+// shard whose clock lags because it was idle.
+func TestSharedQueueBarrierPanics(t *testing.T) {
+	e := NewParallelEngine(staticPartition{2, 4}, 1)
 	e.SetHandler(0, handlerFunc(func(sh *Shard, tm uint64, op uint8, a, b uint64) {
+		sh.Send(0, 0, 0, 0, 0)
+	}))
+	e.SetBarrier(func(msgs []Message) {
 		defer func() {
 			if recover() == nil {
-				t.Error("At in the shard's past did not panic")
+				t.Error("barrier scheduled an idle shard before the barrier time without a panic")
 			}
 		}()
-		sh.At(tm-1, 0, 0, 0)
-	}))
+		e.Shard(1).At(msgs[0].Time, 0, 0, 0)
+	})
 	e.Shard(0).At(10, 0, 0, 0)
 	e.Run()
 }
 
 func TestParallelEngineOverflowPromotion(t *testing.T) {
-	// An event far beyond the horizon, alone in the queue: the window must
-	// jump to it (advanceBase promotion) rather than spin or drop it.
-	e := NewParallelEngine(staticPartition{2, 8}, 1)
-	var fired []uint64
-	for i := 0; i < 2; i++ {
-		e.SetHandler(i, handlerFunc(func(sh *Shard, tm uint64, op uint8, a, b uint64) {
-			fired = append(fired, tm)
-		}))
-	}
-	e.Shard(0).At(3, 0, 0, 0)
-	e.Shard(1).At(7*horizonCycles+11, 0, 0, 0)
-	e.Run()
-	want := []uint64{3, 7*horizonCycles + 11}
-	if !reflect.DeepEqual(fired, want) {
-		t.Fatalf("fired = %v, want %v", fired, want)
+	for _, workers := range []int{1, 2} { // serial and parallel drivers
+		// An event far beyond the horizon, alone in the queue: the window must
+		// jump to it (advanceBase promotion) rather than spin or drop it.
+		e := NewParallelEngine(staticPartition{2, 8}, workers)
+		var fired []uint64
+		for i := 0; i < 2; i++ {
+			e.SetHandler(i, handlerFunc(func(sh *Shard, tm uint64, op uint8, a, b uint64) {
+				fired = append(fired, tm)
+			}))
+		}
+		e.Shard(0).At(3, 0, 0, 0)
+		e.Shard(1).At(7*horizonCycles+11, 0, 0, 0)
+		e.Run()
+		want := []uint64{3, 7*horizonCycles + 11}
+		if !reflect.DeepEqual(fired, want) {
+			t.Fatalf("fired = %v, want %v", fired, want)
+		}
 	}
 }
 
 func TestParallelEngineHookAndAdvanceTo(t *testing.T) {
-	e := NewParallelEngine(staticPartition{2, 5}, 1)
-	log := &advanceLog{}
-	e.SetHook(log)
-	for i := 0; i < 2; i++ {
-		e.SetHandler(i, handlerFunc(func(sh *Shard, tm uint64, op uint8, a, b uint64) {}))
-	}
-	e.Shard(0).At(10, 0, 0, 0)
-	e.Run()
-	e.AdvanceTo(100)
-	want := [][2]uint64{{0, 15}, {15, 100}}
-	if !reflect.DeepEqual(log.intervals, want) {
-		t.Fatalf("advances = %v, want %v", log.intervals, want)
-	}
-	for i := 0; i < 2; i++ {
-		if e.Shard(i).Now() != 100 {
-			t.Fatalf("shard %d clock = %d, want 100", i, e.Shard(i).Now())
+	for _, workers := range []int{1, 2} { // serial and parallel drivers
+		e := NewParallelEngine(staticPartition{2, 5}, workers)
+		log := &advanceLog{}
+		e.SetHook(log)
+		for i := 0; i < 2; i++ {
+			e.SetHandler(i, handlerFunc(func(sh *Shard, tm uint64, op uint8, a, b uint64) {}))
+		}
+		e.Shard(0).At(10, 0, 0, 0)
+		e.Run()
+		e.AdvanceTo(100)
+		want := [][2]uint64{{0, 15}, {15, 100}}
+		if !reflect.DeepEqual(log.intervals, want) {
+			t.Fatalf("advances = %v, want %v", log.intervals, want)
+		}
+		for i := 0; i < 2; i++ {
+			if e.Shard(i).Now() != 100 {
+				t.Fatalf("shard %d clock = %d, want 100", i, e.Shard(i).Now())
+			}
 		}
 	}
 }
 
 func TestParallelEngineAdvanceToPendingPanics(t *testing.T) {
-	e := NewParallelEngine(staticPartition{1, 5}, 1)
-	e.SetHandler(0, handlerFunc(func(sh *Shard, tm uint64, op uint8, a, b uint64) {}))
-	e.Shard(0).At(10, 0, 0, 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("AdvanceTo with pending events did not panic")
-		}
-	}()
-	e.AdvanceTo(100)
+	for _, workers := range []int{1, 2} { // serial and parallel drivers
+		e := NewParallelEngine(staticPartition{2, 5}, workers)
+		e.SetHandler(0, handlerFunc(func(sh *Shard, tm uint64, op uint8, a, b uint64) {}))
+		e.Shard(0).At(10, 0, 0, 0)
+		defer func() {
+			if recover() == nil {
+				t.Error("AdvanceTo with pending events did not panic")
+			}
+		}()
+		e.AdvanceTo(100)
+	}
 }
 
 func TestParallelEngineLookaheadValidation(t *testing.T) {
@@ -241,30 +282,32 @@ func TestParallelEngineLookaheadValidation(t *testing.T) {
 // and beyond the horizon and checks every event fires exactly once in
 // nondecreasing time order.
 func TestBucketQueueRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	e := NewParallelEngine(staticPartition{1, 16}, 1)
-	var fired []uint64
-	scheduled := 0
-	e.SetHandler(0, handlerFunc(func(sh *Shard, tm uint64, op uint8, a, b uint64) {
-		fired = append(fired, tm)
-		if b > 0 && rng.Intn(3) == 0 {
-			d := uint64(rng.Intn(3 * horizonCycles))
-			sh.At(tm+d, 0, 0, b-1)
+	for _, workers := range []int{1, 2} { // serial and parallel drivers
+		rng := rand.New(rand.NewSource(42))
+		e := NewParallelEngine(staticPartition{2, 16}, workers)
+		var fired []uint64
+		scheduled := 0
+		e.SetHandler(0, handlerFunc(func(sh *Shard, tm uint64, op uint8, a, b uint64) {
+			fired = append(fired, tm)
+			if b > 0 && rng.Intn(3) == 0 {
+				d := uint64(rng.Intn(3 * horizonCycles))
+				sh.At(tm+d, 0, 0, b-1)
+				scheduled++
+			}
+		}))
+		sh := e.Shard(0)
+		for i := 0; i < 500; i++ {
+			sh.At(uint64(rng.Intn(4*horizonCycles)), 0, 0, 6)
 			scheduled++
 		}
-	}))
-	sh := e.Shard(0)
-	for i := 0; i < 500; i++ {
-		sh.At(uint64(rng.Intn(4*horizonCycles)), 0, 0, 6)
-		scheduled++
-	}
-	e.Run()
-	if len(fired) != scheduled {
-		t.Fatalf("fired %d events, scheduled %d", len(fired), scheduled)
-	}
-	for i := 1; i < len(fired); i++ {
-		if fired[i] < fired[i-1] {
-			t.Fatalf("time went backwards: %d after %d", fired[i], fired[i-1])
+		e.Run()
+		if len(fired) != scheduled {
+			t.Fatalf("fired %d events, scheduled %d", len(fired), scheduled)
+		}
+		for i := 1; i < len(fired); i++ {
+			if fired[i] < fired[i-1] {
+				t.Fatalf("time went backwards: %d after %d", fired[i], fired[i-1])
+			}
 		}
 	}
 }

@@ -57,10 +57,7 @@ func (p *Port) GrantN(t, n uint64) uint64 {
 	if n == 0 {
 		return t
 	}
-	first := p.Grant(t)
-	for i := uint64(1); i < n; i++ {
-		p.Grant(t)
-	}
+	first, _ := p.grantN(t, n)
 	return first
 }
 
@@ -72,13 +69,41 @@ func (p *Port) GrantNLast(t, n uint64) uint64 {
 	if n == 0 {
 		return t
 	}
-	last := p.Grant(t)
-	for i := uint64(1); i < n; i++ {
-		if g := p.Grant(t); g > last {
-			last = g
-		}
-	}
+	_, last := p.grantN(t, n)
 	return last
+}
+
+// grantN reserves n >= 1 slots in O(1), leaving the port exactly as n
+// successive Grant(t) calls would: the first r slots finish the current
+// cycle (r = Width-used, or 1 on a cycle already over-full), and the
+// remaining n-r fill whole cycles of Width, the last one partly.
+func (p *Port) grantN(t, n uint64) (first, last uint64) {
+	w := p.Width
+	if w == 0 {
+		w = 1
+	}
+	if t > p.nextFree {
+		p.nextFree = t
+		p.used = 0
+	}
+	first = p.nextFree
+	p.Busy += n
+	r := uint64(1)
+	if p.used < w {
+		r = w - p.used
+	}
+	if n < r {
+		p.used += n
+		return first, first
+	}
+	k := n - r
+	full, rem := k/w, k%w
+	p.nextFree = first + 1 + full
+	p.used = rem
+	if rem == 0 {
+		return first, first + full
+	}
+	return first, first + 1 + full
 }
 
 // NextFree returns the earliest cycle at which a new request would be

@@ -64,20 +64,10 @@ func popMin(t *testing.T, q *bucketQueue) (uint64, uint64) {
 		t.Fatal("popMin on empty queue")
 	}
 	q.advanceBase(mt)
-	b := mt % horizonCycles
-	cur := q.head[b]
-	if cur < 0 {
+	if q.bkts[mt&q.mask].head < 0 {
 		t.Fatalf("min %d (base %d) has an empty bucket — promotion or scan bug", mt, q.base)
 	}
-	r := q.recs[cur]
-	nxt := r.next
-	q.head[b] = nxt
-	if nxt < 0 {
-		q.tail[b] = nilIdx
-	}
-	q.free = append(q.free, cur)
-	q.bucketed--
-	q.count--
+	r := q.popFront(mt)
 	return mt, r.a
 }
 
@@ -89,7 +79,7 @@ func popMin(t *testing.T, q *bucketQueue) (uint64, uint64) {
 func checkQueueSequence(t *testing.T, startBase uint64, ops []byte) {
 	t.Helper()
 	q := &bucketQueue{}
-	q.init()
+	q.init(horizonCycles)
 	q.advanceBase(startBase)
 	var ref refQueue
 	var nextID uint64
@@ -121,7 +111,7 @@ func checkQueueSequence(t *testing.T, startBase uint64, ops []byte) {
 			tm := q.base + off
 			id := nextID
 			nextID++
-			q.push(tm, 0, id, 0)
+			q.push(tm, 0, 0, id, 0)
 			ref.push(tm, id)
 		case op < 220: // pop the minimum, cross-checked
 			if len(ref) == 0 {
@@ -199,7 +189,7 @@ func TestBucketQueueProperty(t *testing.T) {
 // reusable afterwards.
 func TestBucketQueueEmpty(t *testing.T) {
 	q := &bucketQueue{}
-	q.init()
+	q.init(horizonCycles)
 	if _, ok := q.min(); ok {
 		t.Fatal("empty queue reports a min")
 	}
@@ -212,7 +202,7 @@ func TestBucketQueueEmpty(t *testing.T) {
 	if _, ok := q.min(); ok || q.count != 0 {
 		t.Fatal("advanceBase on empty queue left state behind")
 	}
-	q.push(5*horizonCycles+3, 1, 42, 0)
+	q.push(5*horizonCycles+3, 0, 1, 42, 0)
 	mt, ok := q.min()
 	if !ok || mt != 5*horizonCycles+3 {
 		t.Fatalf("min after reuse = (%d,%v), want (%d,true)", mt, ok, 5*horizonCycles+3)
@@ -243,10 +233,10 @@ func FuzzBucketQueue(f *testing.F) {
 // allocate nothing.
 func TestBucketQueueHotPathZeroAllocs(t *testing.T) {
 	q := &bucketQueue{}
-	q.init()
+	q.init(horizonCycles)
 	// Warm the slab, the freelist and the outbox-free pop path.
 	for i := uint64(0); i < 256; i++ {
-		q.push(q.base+i%horizonCycles, 0, i, 0)
+		q.push(q.base+i%horizonCycles, 0, 0, i, 0)
 	}
 	for q.count > 0 {
 		popMin(t, q)
@@ -254,21 +244,12 @@ func TestBucketQueueHotPathZeroAllocs(t *testing.T) {
 	tm := q.base
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := uint64(0); i < 64; i++ {
-			q.push(tm+i%64, 0, i, 0)
+			q.push(tm+i%64, 0, 0, i, 0)
 		}
 		for q.count > 0 {
 			mt, _ := q.min()
 			q.advanceBase(mt)
-			b := mt % horizonCycles
-			cur := q.head[b]
-			nxt := q.recs[cur].next
-			q.head[b] = nxt
-			if nxt < 0 {
-				q.tail[b] = nilIdx
-			}
-			q.free = append(q.free, cur)
-			q.bucketed--
-			q.count--
+			q.popFront(mt)
 		}
 		tm = q.base
 	})
@@ -282,26 +263,17 @@ func TestBucketQueueHotPathZeroAllocs(t *testing.T) {
 // by TestBucketQueueHotPathZeroAllocs; the pair tracks ns/op drift).
 func BenchmarkSlabQueuePush(b *testing.B) {
 	q := &bucketQueue{}
-	q.init()
+	q.init(horizonCycles)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.push(q.base+uint64(i%horizonCycles), 0, uint64(i), 0)
+		q.push(q.base+uint64(i%horizonCycles), 0, 0, uint64(i), 0)
 		if q.count >= horizonCycles {
 			// Bound memory: drop everything by resetting chains via pops.
 			b.StopTimer()
 			for q.count > 0 {
 				mt, _ := q.min()
 				q.advanceBase(mt)
-				bk := mt % horizonCycles
-				cur := q.head[bk]
-				nxt := q.recs[cur].next
-				q.head[bk] = nxt
-				if nxt < 0 {
-					q.tail[bk] = nilIdx
-				}
-				q.free = append(q.free, cur)
-				q.bucketed--
-				q.count--
+				q.popFront(mt)
 			}
 			b.StartTimer()
 		}
@@ -310,21 +282,12 @@ func BenchmarkSlabQueuePush(b *testing.B) {
 
 func BenchmarkSlabQueuePushPop(b *testing.B) {
 	q := &bucketQueue{}
-	q.init()
+	q.init(horizonCycles)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.push(q.base+uint64(i%257), 0, uint64(i), 0)
+		q.push(q.base+uint64(i%257), 0, 0, uint64(i), 0)
 		mt, _ := q.min()
 		q.advanceBase(mt)
-		bk := mt % horizonCycles
-		cur := q.head[bk]
-		nxt := q.recs[cur].next
-		q.head[bk] = nxt
-		if nxt < 0 {
-			q.tail[bk] = nilIdx
-		}
-		q.free = append(q.free, cur)
-		q.bucketed--
-		q.count--
+		q.popFront(mt)
 	}
 }

@@ -44,7 +44,7 @@ type EngineState struct {
 // closures), and the machine model guarantees none exist at spawn
 // boundaries.
 func (e *Engine) CaptureState() (EngineState, error) {
-	if n := len(e.events); n != 0 {
+	if n := e.q.count; n != 0 {
 		return EngineState{}, fmt.Errorf("sim: capture with %d pending events (engine not at a quiescent point)", n)
 	}
 	return EngineState{Now: e.now, Seq: e.seq, Processed: e.Processed}, nil
@@ -54,11 +54,14 @@ func (e *Engine) CaptureState() (EngineState, error) {
 // engine, so that subsequent scheduling and execution continue exactly
 // where the captured run left off.
 func (e *Engine) RestoreState(s EngineState) error {
-	if n := len(e.events); n != 0 {
+	if n := e.q.count; n != 0 {
 		return fmt.Errorf("sim: restore with %d pending events (engine not at a quiescent point)", n)
 	}
 	e.now, e.seq, e.Processed = s.Now, s.Seq, s.Processed
 	e.telFlushed = s.Processed
+	// Start the ring at the restored clock so future events land in the
+	// right buckets.
+	e.q.rebase(s.Now)
 	return nil
 }
 
@@ -113,11 +116,12 @@ func (e *ParallelEngine) RestoreState(s ParallelEngineState) error {
 		sh := &e.shards[i]
 		sh.now = s.Shards[i].Now
 		sh.Processed = s.Shards[i].Processed
-		// Move the calendar-queue ring floor up to the restored clock so
-		// future At calls land in the right buckets; the queue is empty,
-		// so there is nothing to promote.
-		sh.q.advanceBase(sh.now)
+		// Start the calendar-queue ring at the restored clock so future
+		// At calls land in the right buckets.
+		sh.q.rebase(sh.now)
 		sh.nextMin = noEvent
 	}
+	// Every later event is scheduled at or after the restored clock.
+	e.q.rebase(e.now)
 	return nil
 }

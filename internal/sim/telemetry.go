@@ -138,7 +138,7 @@ func (e *Engine) publishTelemetry() {
 	e.telFlushed = e.Processed
 	t.Events.Add(delta)
 	t.Cycle.Store(e.now)
-	t.Pending.Store(uint64(len(e.events)))
+	t.Pending.Store(uint64(e.q.count))
 	if e.wd != nil {
 		t.WatchdogLast.Store(e.wd.last)
 		t.WatchdogWindow.Store(e.wd.Window)
@@ -146,7 +146,7 @@ func (e *Engine) publishTelemetry() {
 	sh := t.ShardView()[0]
 	sh.Events.Add(delta)
 	sh.Cycle.Store(e.now)
-	sh.Pending.Store(uint64(len(e.events)))
+	sh.Pending.Store(uint64(e.q.count))
 	t.Beat()
 }
 
@@ -202,10 +202,10 @@ func (e *ParallelEngine) publishShards() {
 		delta := sh.Processed - e.telShardFlushed[i]
 		e.telShardFlushed[i] = sh.Processed
 		events += delta
-		pending += uint64(sh.q.count)
+		pending += uint64(sh.Pending())
 		st.Events.Add(delta)
 		st.Cycle.Store(sh.now)
-		st.Pending.Store(uint64(sh.q.count))
+		st.Pending.Store(uint64(sh.Pending()))
 	}
 	t.Events.Add(events)
 	t.Pending.Store(pending)

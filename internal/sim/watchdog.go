@@ -77,9 +77,9 @@ func (e *Engine) SetWatchdog(w *Watchdog) { e.wd = w }
 // abort: clock, events executed, and the pending-event horizon.
 func (e *Engine) dumpState() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "serial engine: now=%d processed=%d pending=%d", e.now, e.Processed, len(e.events))
-	if len(e.events) > 0 {
-		fmt.Fprintf(&b, " next=%d", e.events[0].time)
+	fmt.Fprintf(&b, "serial engine: now=%d processed=%d pending=%d", e.now, e.Processed, e.q.count)
+	if t, ok := e.q.min(); ok {
+		fmt.Fprintf(&b, " next=%d", t)
 	}
 	b.WriteByte('\n')
 	return b.String()
@@ -97,11 +97,19 @@ func (e *ParallelEngine) dumpState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "parallel engine: now=%d windows=%d messages=%d window=%d\n",
 		e.now, e.Windows, e.Messages, e.window)
+	var next []uint64 // serial driver: each shard's earliest pending time
+	if e.shared {
+		next = e.q.earliestByWho(len(e.shards))
+	}
 	for i := range e.shards {
 		sh := &e.shards[i]
 		fmt.Fprintf(&b, "  shard %d: now=%d processed=%d pending=%d outbox=%d",
-			sh.ID, sh.now, sh.Processed, sh.q.count, len(sh.out))
-		if t, ok := sh.q.min(); ok {
+			sh.ID, sh.now, sh.Processed, sh.Pending(), len(sh.out))
+		t, ok := sh.q.min()
+		if e.shared {
+			t, ok = next[i], next[i] != noEvent
+		}
+		if ok {
 			fmt.Fprintf(&b, " next=%d", t)
 		}
 		b.WriteByte('\n')

@@ -161,7 +161,7 @@ func (m *Machine) Workers() int {
 	if m.par == nil {
 		return 0
 	}
-	return m.par.eng.Workers
+	return m.par.eng.Workers()
 }
 
 // SimStats reports engine-level execution statistics: events executed

@@ -387,18 +387,19 @@ func (sm *shardedMachine) onBarrier(msgs []sim.Message) {
 	// Every request appended during the finished window has now been
 	// consumed (a request is always paired with a message in the same
 	// event, and the barrier receives all of a window's messages), so
-	// the buffers reset for the next window.
-	for _, sh := range sm.shards {
-		sh.reqs = sh.reqs[:0]
+	// the senders' buffers reset for the next window.
+	for _, msg := range msgs {
+		sm.shards[msg.Src].reqs = sm.shards[msg.Src].reqs[:0]
 	}
 }
 
 // serveRequest performs the coordinator side of one memory request —
 // NoC traversal, module access, counters, tracing — mirroring the
-// legacy engine's per-request path. ok=false means the retransmit
-// protocol gave up; the request has been queued for an event-level
-// retry on the source shard and res is meaningless.
-func (sm *shardedMachine) serveRequest(sh *machineShard, r memReq, write bool, tcu int) (mem.AccessResult, bool) {
+// legacy engine's per-request path — and returns the cycle the access
+// completes. ok=false means the retransmit protocol gave up; the request
+// has been queued for an event-level retry on the source shard and done
+// is meaningless.
+func (sm *shardedMachine) serveRequest(sh *machineShard, r memReq, write bool, tcu int) (done uint64, ok bool) {
 	m := sm.m
 	dst := mem.HashAddress(r.addr, m.cfg.MemModules)
 	arrive, ok := m.traverse(r.issue, sh.id, dst)
@@ -411,7 +412,7 @@ func (sm *shardedMachine) serveRequest(sh *machineShard, r memReq, write bool, t
 		}
 		sm.eng.Shard(sh.id).At(at, sopRetransmit, uint64(len(sm.retries)), 0)
 		sm.retries = append(sm.retries, retryRec{addr: r.addr, tcu: uint64(tcu), write: write})
-		return mem.AccessResult{}, false
+		return 0, false
 	}
 	res := m.memory.Access(arrive, r.addr, write)
 	if res.Hit {
@@ -424,7 +425,7 @@ func (sm *shardedMachine) serveRequest(sh *machineShard, r memReq, write bool, t
 		sm.coordRec.MemAccess(arrive, res.Done, tcu, dst, r.addr, write, res.Hit)
 	}
 	recordMemFault(sm.coordRec, res.Done, res.Fault, dst, r.addr)
-	return res, true
+	return res.Done, true
 }
 
 // loadGroup serves a parked thread's load group: every request is
@@ -438,12 +439,12 @@ func (sm *shardedMachine) loadGroup(sh *machineShard, recs []memReq, segStart ui
 	done := uint64(0)
 	pending := 0
 	for _, r := range recs {
-		res, ok := sm.serveRequest(sh, r, false, tcu)
+		acc, ok := sm.serveRequest(sh, r, false, tcu)
 		if !ok {
 			pending++
 			continue
 		}
-		if ret := m.network.Reply(res.Done); ret > done {
+		if ret := m.network.Reply(acc); ret > done {
 			done = ret
 		}
 	}
@@ -470,30 +471,30 @@ func (sm *shardedMachine) finishLoadGroup(sh *machineShard, tc *shardTCU) {
 // (stores do not block), so only the join's completion bound advances.
 func (sm *shardedMachine) storeGroup(sh *machineShard, recs []memReq, tcu int) {
 	for _, r := range recs {
-		res, ok := sm.serveRequest(sh, r, true, tcu)
+		done, ok := sm.serveRequest(sh, r, true, tcu)
 		if !ok {
 			continue
 		}
-		if res.Done > sh.lastDone {
-			sh.lastDone = res.Done // join waits for store completion
+		if done > sh.lastDone {
+			sh.lastDone = done // join waits for store completion
 		}
 	}
 }
 
 // memRetry serves a single re-issued request from the retransmit path.
 func (sm *shardedMachine) memRetry(sh *machineShard, r memReq, write bool, tcu int) {
-	res, ok := sm.serveRequest(sh, r, write, tcu)
+	done, ok := sm.serveRequest(sh, r, write, tcu)
 	if !ok {
 		return // escalated again; a fresh retry event is scheduled
 	}
 	if write {
-		if res.Done > sh.lastDone {
-			sh.lastDone = res.Done
+		if done > sh.lastDone {
+			sh.lastDone = done
 		}
 		return
 	}
 	tc := &sh.tcus[sm.tcuLocal[tcu]]
-	if ret := sm.m.network.Reply(res.Done); ret > tc.maxRet {
+	if ret := sm.m.network.Reply(done); ret > tc.maxRet {
 		tc.maxRet = ret
 	}
 	tc.waiting--

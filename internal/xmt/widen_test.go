@@ -3,7 +3,9 @@ package xmt_test
 // End-to-end differential test for adaptive window widening, on the real
 // workload: a full 3D FFT simulated with the adaptive driver must be
 // bit-identical — output samples, simulated cycles, machine counters —
-// to the conservative fixed-window driver, at every worker count. This
+// to the conservative fixed-window driver, at every worker count. (At
+// one worker the serial shared-queue driver runs, which has no window
+// modes, so the reference runs the parallel driver at two workers.) This
 // is an external test package because it drives the FFT through
 // internal/core, which itself imports xmt.
 
@@ -58,7 +60,7 @@ func runWidenFFT(t *testing.T, workers int, widen bool) widenFFTRun {
 }
 
 func TestShardedWideningDifferentialFFT(t *testing.T) {
-	ref := runWidenFFT(t, 1, false)
+	ref := runWidenFFT(t, 2, false)
 	if ref.cycles == 0 || ref.windows == 0 {
 		t.Fatalf("degenerate reference run: %+v", ref)
 	}
@@ -82,7 +84,7 @@ func TestShardedWideningDifferentialFFT(t *testing.T) {
 		// Fixed-window runs must also agree with each other across workers.
 		fixed := runWidenFFT(t, workers, false)
 		if !reflect.DeepEqual(fixed.data, ref.data) || fixed.cycles != ref.cycles {
-			t.Errorf("workers=%d: fixed-window run diverged from workers=1 fixed-window run", workers)
+			t.Errorf("workers=%d: fixed-window run diverged from workers=2 fixed-window run", workers)
 		}
 	}
 }
