@@ -4,8 +4,9 @@
 // counts and rates, utilization, faults and the watchdog heartbeat —
 // CI feeds it the mid-run scrape and the final snapshot of an
 // xmtbench -serve-obs run. With -serve it instead checks a transform
-// service scrape: request/latency series, admission-control gauges and
-// the coalescing counters exported by cmd/xmtserve.
+// service scrape: request/latency series, the decode and encode stage
+// histograms, admission-control gauges and the coalescing counters
+// exported by cmd/xmtserve.
 //
 // Usage: go run ./internal/metrics/obscheck [-serve] file.prom [file.prom ...]
 package main
@@ -44,6 +45,8 @@ var requiredSim = []series{
 var requiredServe = []series{
 	{"xmtserve_requests_total", map[string]string{"route": "1d", "code": "200"}},
 	{"xmtserve_request_latency_seconds_count", map[string]string{"route": "1d"}},
+	{"xmtserve_stage_seconds_count", map[string]string{"stage": "decode"}},
+	{"xmtserve_stage_seconds_count", map[string]string{"stage": "encode"}},
 	{"xmtserve_queue_depth", nil},
 	{"xmtserve_queue_limit", nil},
 	{"xmtserve_requests_rejected_total", nil},

@@ -29,11 +29,13 @@ type poolKey struct {
 }
 
 // job is one request's stay in a pool: data is transformed in place,
-// batched reports the size of the pass it rode in, err any transform
-// failure. done is closed when the job is complete.
+// batched reports the size of the pass it rode in, started when that
+// pass began, err any transform failure. done is closed when the job
+// is complete.
 type job[C fft.Complex] struct {
 	data    []C
 	batched int
+	started time.Time
 	err     error
 	done    chan struct{}
 }
@@ -52,15 +54,15 @@ func newPoolSet[C fft.Complex](s *Server) *poolSet[C] {
 
 // submit queues data on the key's pool (creating it on first use) and
 // waits for the transform to complete. It returns the batch size the
-// job executed in.
-func (ps *poolSet[C]) submit(key poolKey, data []C) (batched int, err error) {
+// job executed in and how long it waited for its pass to begin.
+func (ps *poolSet[C]) submit(key poolKey, data []C) (batched int, queued time.Duration, err error) {
 	ps.mu.Lock()
 	p := ps.pools[key]
 	if p == nil {
 		p, err = newPool[C](ps.srv, key)
 		if err != nil {
 			ps.mu.Unlock()
-			return 0, err
+			return 0, 0, err
 		}
 		ps.pools[key] = p
 		ps.srv.met.pools.Set(float64(ps.srv.poolCount.Add(1)))
@@ -68,9 +70,10 @@ func (ps *poolSet[C]) submit(key poolKey, data []C) (batched int, err error) {
 	ps.mu.Unlock()
 
 	j := &job[C]{data: data, done: make(chan struct{})}
+	enqueued := time.Now()
 	p.ch <- j
 	<-j.done
-	return j.batched, j.err
+	return j.batched, j.started.Sub(enqueued), j.err
 }
 
 // close stops every pool worker and waits for them to exit. The server
@@ -188,6 +191,7 @@ func (p *pool[C]) gather(batch []*job[C]) []*job[C] {
 
 // execute runs the batch as one plan pass and completes every job.
 func (p *pool[C]) execute(batch []*job[C]) {
+	started := time.Now()
 	n := p.key.n
 	var err error
 	if len(batch) == 1 {
@@ -219,6 +223,7 @@ func (p *pool[C]) execute(batch []*job[C]) {
 	}
 	for _, j := range batch {
 		j.batched = len(batch)
+		j.started = started
 		j.err = err
 		close(j.done)
 	}

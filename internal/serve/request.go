@@ -11,14 +11,12 @@ package serve
 // The decoder is strict: unknown fields, malformed geometry, overflowing
 // or non-finite payloads and wrong element counts are all client errors
 // (*RequestError → HTTP 400), never panics — locked in by the fuzz test.
+// The JSON itself is read and written by the hand codec in codec.go.
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 
 	"xmtfft/internal/fft"
 )
@@ -52,7 +50,9 @@ type BatchSpec struct {
 // Response mirrors the request geometry and carries the transformed
 // samples. Batched reports how many requests the server executed in the
 // same coalesced plan pass (1 = ran alone); clients use it to observe
-// coalescing without scraping metrics.
+// coalescing without scraping metrics. The server writes this shape
+// with appendResponse (codec.go), straight from the transformed samples;
+// clients decode it into this type.
 type Response struct {
 	Dims    []int     `json:"dims"`
 	Dtype   string    `json:"dtype"`
@@ -80,24 +80,7 @@ func badRequest(format string, args ...any) *RequestError {
 // exactly one JSON value, geometry and payload validated. All failures
 // are *RequestError.
 func DecodeRequest(r io.Reader) (*Request, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var q Request
-	if err := dec.Decode(&q); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return nil, badRequest("request body exceeds %d bytes", maxErr.Limit)
-		}
-		return nil, badRequest("malformed request: %v", err)
-	}
-	// A second value after the document is a framing error.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return nil, badRequest("trailing data after request document")
-	}
-	if err := q.validate(); err != nil {
-		return nil, err
-	}
-	return &q, nil
+	return decodeRequest(r, -1)
 }
 
 // validate checks geometry and payload against the limits.
@@ -217,28 +200,6 @@ func toComplex128(data []float64) []complex128 {
 	out := make([]complex128, len(data)/2)
 	for i := range out {
 		out[i] = complex(data[2*i], data[2*i+1])
-	}
-	return out
-}
-
-// fromComplex64 flattens complex64 back to interleaved floats; the
-// float32→float64 widening is exact, so the wire round-trip is
-// bit-identical.
-func fromComplex64(x []complex64) []float64 {
-	out := make([]float64, 2*len(x))
-	for i, v := range x {
-		out[2*i] = float64(real(v))
-		out[2*i+1] = float64(imag(v))
-	}
-	return out
-}
-
-// fromComplex128 flattens complex128 back to interleaved floats.
-func fromComplex128(x []complex128) []float64 {
-	out := make([]float64, 2*len(x))
-	for i, v := range x {
-		out[2*i] = float64(real(v))
-		out[2*i+1] = float64(imag(v))
 	}
 	return out
 }

@@ -10,7 +10,8 @@
 // finish.
 //
 // Observability rides on internal/metrics: per-route latency
-// histograms, request/rejection counters, queue-depth gauges and
+// histograms, per-stage (decode, queue, compute, encode) histograms,
+// request/rejection counters, queue-depth gauges and
 // coalescing counters, registered on the registry the caller passes in
 // (cmd/xmtserve passes harness.Obs's registry, so the series appear on
 // the same /metrics endpoint as the rest of the repo's surface).
@@ -95,13 +96,20 @@ type serverMetrics struct {
 	// surface shows how much of the serve traffic runs on generated
 	// straight-line kernels.
 	codeletLeaves *metrics.Gauge
+	// Per-stage request time (xmtserve_stage_seconds{stage=}); the
+	// handles are cached so observing them does not allocate.
+	stageDecode, stageQueue, stageCompute, stageEncode *metrics.Histogram
 }
 
 // latencyBounds covers 100µs to 10s.
 var latencyBounds = []float64{1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
+// stageBounds extends latencyBounds down to 10µs: the stages of a small
+// request finish well under 100µs.
+var stageBounds = []float64{1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
+
 func newServerMetrics(reg *metrics.Registry) *serverMetrics {
-	return &serverMetrics{
+	m := &serverMetrics{
 		requests:   reg.CounterVec("xmtserve_requests", "Transform requests by route and HTTP status code.", "route", "code"),
 		latency:    reg.HistogramVec("xmtserve_request_latency_seconds", "End-to-end request latency (decode, queue, transform, encode) by route.", latencyBounds, "route"),
 		queueDepth: reg.Gauge("xmtserve_queue_depth", "Admitted requests currently queued or executing."),
@@ -115,6 +123,12 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 		codeletLeaves: reg.Gauge("xmtserve_codelet_leaf_calls",
 			"Process-wide generated-kernel (codelet leaf) invocations, sampled after each plan pass."),
 	}
+	stages := reg.HistogramVec("xmtserve_stage_seconds",
+		"Time per transform request stage: decode (read and parse the body), queue (pooled 1D requests waiting for their plan pass), compute (the transform), encode (format and write the response).",
+		stageBounds, "stage")
+	m.stageDecode, m.stageQueue = stages.With("decode"), stages.With("queue")
+	m.stageCompute, m.stageEncode = stages.With("compute"), stages.With("encode")
+	return m
 }
 
 // Server is the transform service. Create with New, expose via
@@ -262,7 +276,9 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	defer s.wg.Done()
 
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	q, err := DecodeRequest(r.Body)
+	decodeStart := time.Now()
+	q, err := decodeRequest(r.Body, min(r.ContentLength, s.cfg.MaxBodyBytes))
+	s.met.stageDecode.Observe(time.Since(decodeStart).Seconds())
 	if err != nil {
 		code = http.StatusBadRequest
 		writeError(w, code, err.Error())
@@ -270,7 +286,11 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	}
 	route = routeOf(q)
 
-	resp, err := s.execute(q)
+	if q.Dtype == dtypeC64 {
+		err = respond(s, s.p64, w, q, toComplex64(q.Data))
+	} else {
+		err = respond(s, s.p128, w, q, toComplex128(q.Data))
+	}
 	if err != nil {
 		var reqErr *RequestError
 		if errors.As(err, &reqErr) {
@@ -279,12 +299,6 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 			code = http.StatusInternalServerError
 		}
 		writeError(w, code, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		// Too late for a status change; the client sees the truncation.
-		return
 	}
 }
 
@@ -302,61 +316,49 @@ func routeOf(q *Request) string {
 	}
 }
 
-// execute dispatches a validated request to the right execution path.
-func (s *Server) execute(q *Request) (*Response, error) {
+// respond transforms x, the samples of the validated request q, in
+// place and writes the 200 response, observing the queue (pooled 1D
+// requests only), compute and encode stages. On error it writes
+// nothing: a *RequestError (the result overflowed the dtype) is the
+// client's 400, anything else a 500.
+func respond[C fft.Complex](s *Server, ps *poolSet[C], w http.ResponseWriter, q *Request, x []C) error {
 	dir, _ := q.direction()
 	norm, _ := q.normalization()
-	resp := &Response{Dims: q.Dims, Dtype: q.Dtype, Dir: q.Dir}
-
-	run := func(exec64 func([]complex64) (int, error), exec128 func([]complex128) (int, error)) error {
-		if q.Dtype == dtypeC64 {
-			x := toComplex64(q.Data)
-			batched, err := exec64(x)
-			if err != nil {
-				return err
-			}
-			resp.Batched, resp.Data = batched, fromComplex64(x)
-			return nil
-		}
-		x := toComplex128(q.Data)
-		batched, err := exec128(x)
-		if err != nil {
-			return err
-		}
-		resp.Batched, resp.Data = batched, fromComplex128(x)
-		return nil
-	}
-
+	start := time.Now()
+	batched := 1
 	var err error
 	switch {
 	case q.Batch != nil:
 		// Explicit batch layout: one request, one pass, no coalescing.
-		b := q.Batch
-		err = run(
-			func(x []complex64) (int, error) { return 1, batchTransform(x, q.Dims[0], b, dir, norm) },
-			func(x []complex128) (int, error) { return 1, batchTransform(x, q.Dims[0], b, dir, norm) },
-		)
+		err = batchTransform(x, q.Dims[0], q.Batch, dir, norm)
 	case len(q.Dims) == 1:
-		key := poolKey{n: q.Dims[0], dir: dir, norm: norm}
-		err = run(
-			func(x []complex64) (int, error) { return s.p64.submit(key, x) },
-			func(x []complex128) (int, error) { return s.p128.submit(key, x) },
-		)
+		var queued time.Duration
+		batched, queued, err = ps.submit(poolKey{n: q.Dims[0], dir: dir, norm: norm}, x)
+		s.met.stageQueue.Observe(queued.Seconds())
+		start = start.Add(queued)
 	case len(q.Dims) == 2:
-		err = run(
-			func(x []complex64) (int, error) { return 1, plan2DTransform(x, q.Dims, dir, norm) },
-			func(x []complex128) (int, error) { return 1, plan2DTransform(x, q.Dims, dir, norm) },
-		)
+		err = plan2DTransform(x, q.Dims, dir, norm)
 	default:
-		err = run(
-			func(x []complex64) (int, error) { return 1, plan3DTransform(x, q.Dims, dir, norm) },
-			func(x []complex128) (int, error) { return 1, plan3DTransform(x, q.Dims, dir, norm) },
-		)
+		err = plan3DTransform(x, q.Dims, dir, norm)
 	}
+	encodeStart := time.Now()
+	s.met.stageCompute.Observe(encodeStart.Sub(start).Seconds())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return resp, nil
+	// Presized for the longest samples: two 25-byte floats, two commas.
+	buf := getBuffer(128 + 52*len(x))
+	defer putBuffer(buf)
+	if *buf, err = appendResponse(*buf, q, batched, x); err != nil {
+		return err
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(*buf)))
+	// The status is sent; a failed write means the client went away.
+	_, _ = w.Write(*buf)
+	s.met.stageEncode.Observe(time.Since(encodeStart).Seconds())
+	return nil
 }
 
 // batchTransform runs an explicit advanced-layout request through a
