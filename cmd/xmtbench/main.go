@@ -14,10 +14,10 @@
 // BENCH_fft.json perf record. -fft-gate turns the 1D codelet speedups
 // into a CI perf ratchet.
 //
-// With -sim-bench the simulator itself is measured: the same FFT
-// workload runs on the legacy serial engine and on the sharded parallel
-// engine at several -sim-bench-workers counts, and the wall-clock
-// results are written as a BENCH_sim.json perf record.
+// With -sim-bench the simulator itself is measured: the FFT workload
+// runs -sim-reps times on the detailed engine, and the fastest run's
+// wall-clock and event throughput are written as a BENCH_sim.json perf
+// record.
 //
 // With -obs-bench the observability layer itself is measured: the same
 // workload with observability off, with engine telemetry, and with the
@@ -34,13 +34,11 @@
 //
 //	xmtbench                  # defaults: 4k scaled to 1024 TCUs, 32^3
 //	xmtbench -tcus 512 -n 16  # small size (the CI smoke path)
-//	xmtbench -sim-workers 4   # ablations on the sharded engine
 //	xmtbench -serve-obs :9100 # watch the run: curl :9100/metrics
 //	xmtbench -trace /tmp/bench.json -util-svg /tmp/bench.svg
 //	xmtbench -host-bench BENCH_fft.json -host-n 128,256
 //	xmtbench -host-bench BENCH_fft.json -fft-gate 1.2  # codelet perf ratchet
-//	xmtbench -sim-bench BENCH_sim.json -sim-bench-workers 1,2,4
-//	xmtbench -sim-bench BENCH_sim.json -sim-gate 1.5   # CI perf ratchet
+//	xmtbench -sim-bench BENCH_sim.json -tcus 1024 -n 32 -sim-reps 3
 //	xmtbench -fault-bench BENCH_fault.json -fault-rates 0.005,0.02,0.05
 //	xmtbench -obs-bench BENCH_obs.json
 package main
@@ -63,11 +61,8 @@ import (
 func main() {
 	tcus := flag.Int("tcus", 1024, "machine size in TCUs (scaled 4k configuration)")
 	n := flag.Int("n", 32, "points per dimension (power of two)")
-	simWorkers := flag.Int("sim-workers", 0, "simulation worker count: 0 = legacy serial engine, >= 1 = sharded parallel engine")
-	simBench := flag.String("sim-bench", "", "measure the simulator (legacy vs sharded engine) on the FFT workload and write a BENCH_sim.json perf record to this path ('-' for stdout)")
-	simBenchWorkers := flag.String("sim-bench-workers", "1,2,4", "comma-separated sharded worker counts for -sim-bench")
+	simBench := flag.String("sim-bench", "", "measure the simulator on the FFT workload and write a BENCH_sim.json perf record to this path ('-' for stdout)")
 	simReps := flag.Int("sim-reps", 3, "repetitions per -sim-bench point (best run kept)")
-	simGate := flag.Float64("sim-gate", 0, "with -sim-bench: exit non-zero when sharded workers=1 wall-clock exceeds this multiple of legacy (0 disables the gate)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace of the baseline variant to this path")
@@ -94,10 +89,9 @@ func main() {
 	flag.Parse()
 
 	if err := validateFlags(cliFlags{
-		tcus: *tcus, n: *n, simWorkers: *simWorkers, simReps: *simReps,
+		tcus: *tcus, n: *n, simBench: *simBench, simReps: *simReps,
 		hostWorkers: *hostWorkers, hostReps: *hostReps,
 		tracePath: *tracePath, utilSVG: *utilSVG, traceEpoch: *traceEpoch,
-		simBench: *simBench, simBenchWorkers: *simBenchWorkers, simGate: *simGate,
 		hostBench: *hostBench, hostSizes: *hostSizes, fftGate: *fftGate,
 		faultBench: *faultBench, faultRates: *faultRates,
 		serveObs: *serveObs, obsSnapshot: *obsSnapshot,
@@ -140,13 +134,13 @@ func main() {
 		return
 	}
 	if *simBench != "" {
-		if err := runSimBench(*simBench, *simBenchWorkers, *tcus, *n, *simReps, *simGate); err != nil {
+		if err := runSimBench(*simBench, *tcus, *n, *simReps); err != nil {
 			fatal(err)
 		}
 		return
 	}
 	if *faultBench != "" {
-		if err := runFaultBench(*faultBench, *faultRates, *tcus, *n, *simWorkers, *faultSeed); err != nil {
+		if err := runFaultBench(*faultBench, *faultRates, *tcus, *n, *faultSeed); err != nil {
 			fatal(err)
 		}
 		return
@@ -207,14 +201,11 @@ func main() {
 			if !set["n"] {
 				*n = c.Meta.Dims[2]
 			}
-			if !set["sim-workers"] {
-				*simWorkers = c.Meta.Workers
-			}
 			slog.Info("resuming ablation sweep", "path", *resumePath,
 				"variants_done", c.Meta.Stage)
 		}
 	}
-	rec, err := harness.AblationReportCkpt(os.Stdout, *tcus, *n, epoch, *simWorkers, obs, ck)
+	rec, err := harness.AblationReportCkpt(os.Stdout, *tcus, *n, epoch, obs, ck)
 	interrupted := errors.Is(err, harness.ErrInterrupted)
 	if err != nil && !interrupted {
 		fatal(err)
@@ -261,7 +252,7 @@ func writeRecord(path string, write func(io.Writer) error) error {
 
 // runHostBench measures the host FFT, writes the perf record, and (when
 // gate > 0) fails if any serial 1D codelet-on/off speedup falls below
-// the gate — the host-FFT analog of the -sim-gate CI ratchet.
+// the gate — the host FFT's CI perf ratchet.
 func runHostBench(path, sizeList string, workers, reps int, gate float64) error {
 	sizes, err := parseIntList("-host-n", sizeList)
 	if err != nil {
@@ -309,48 +300,15 @@ func runHostBench(path, sizeList string, workers, reps int, gate float64) error 
 	return nil
 }
 
-// runSimBench measures the simulation engines, writes BENCH_sim.json,
-// and (when gate > 0) fails if the 1-worker sharded run costs more than
-// gate times the legacy engine's wall-clock — the CI perf ratchet.
-func runSimBench(path, workerList string, tcus, n, reps int, gate float64) error {
-	workers, err := parseIntList("-sim-bench-workers", workerList)
+// runSimBench measures the simulator and writes BENCH_sim.json.
+func runSimBench(path string, tcus, n, reps int) error {
+	rec, err := harness.RunSimBench(tcus, n, reps)
 	if err != nil {
 		return err
 	}
-	rec, err := harness.RunSimBench(tcus, n, workers, reps)
-	if err != nil {
-		return err
-	}
-	for _, r := range rec.Results {
-		label := r.Engine
-		if r.Engine == "sharded" {
-			label = fmt.Sprintf("%s workers=%d", r.Engine, r.Workers)
-		}
-		fmt.Printf("%-20s %10.4fs  %12d cycles  %9.0f useful-events/s  (%d engine events)\n",
-			label, r.ElapsedSec, r.Cycles, r.UsefulEventsPerSec, r.Events)
-	}
-	if rec.OverheadVsLegacy > 0 {
-		fmt.Printf("overhead vs legacy (sharded workers=1): %.2fx\n", rec.OverheadVsLegacy)
-	}
-	for k, v := range rec.SpeedupVsSerialDriver {
-		fmt.Printf("speedup %s: %.2fx\n", k, v)
-	}
-	if rec.Note != "" {
-		fmt.Println("note:", rec.Note)
-	}
-	if err := writeRecord(path, rec.Write); err != nil {
-		return err
-	}
-	if gate > 0 {
-		if rec.OverheadVsLegacy == 0 {
-			return fmt.Errorf("-sim-gate %.2f: overhead_vs_legacy is unavailable (no workers=1 run or sub-resolution timings); gate cannot be evaluated", gate)
-		}
-		if rec.OverheadVsLegacy > gate {
-			return fmt.Errorf("-sim-gate %.2f exceeded: sharded workers=1 is %.2fx legacy wall-clock", gate, rec.OverheadVsLegacy)
-		}
-		fmt.Printf("sim-gate ok: %.2fx <= %.2fx\n", rec.OverheadVsLegacy, gate)
-	}
-	return nil
+	fmt.Printf("%10.4fs  %12d cycles  %9.0f useful-events/s  (%d engine events)\n",
+		rec.ElapsedSec, rec.Cycles, rec.UsefulEventsPerSec, rec.Events)
+	return writeRecord(path, rec.Write)
 }
 
 // runObsBench measures observability overhead and writes BENCH_obs.json.
@@ -374,12 +332,12 @@ func runObsBench(path string, tcus, n, reps int) error {
 }
 
 // runFaultBench measures resilience overhead and writes BENCH_fault.json.
-func runFaultBench(path, rateList string, tcus, n, workers int, seed uint64) error {
+func runFaultBench(path, rateList string, tcus, n int, seed uint64) error {
 	rates, err := parseRateList("-fault-rates", rateList)
 	if err != nil {
 		return err
 	}
-	rec, err := harness.RunFaultBench(tcus, n, workers, seed, rates)
+	rec, err := harness.RunFaultBench(tcus, n, seed, rates)
 	if err != nil {
 		return err
 	}

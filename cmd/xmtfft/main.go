@@ -8,7 +8,6 @@
 // Examples:
 //
 //	xmtfft -config 4k -tcus 1024 -n 32 -dims 3
-//	xmtfft -config 4k -tcus 1024 -n 32 -sim-workers 4   # sharded engine
 //	xmtfft -config "128k x4" -model -n 512
 package main
 
@@ -50,7 +49,6 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace to this path (detailed mode)")
 	traceEpoch := flag.Uint64("trace-epoch", 256, "utilization sampling interval in cycles for -trace / -util-svg")
 	utilSVG := flag.String("util-svg", "", "write an epoch-utilization heat-strip SVG to this path (detailed mode)")
-	simWorkers := flag.Int("sim-workers", 0, "simulation worker count: 0 = legacy serial engine, >= 1 = sharded parallel engine")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	serveObs := flag.String("serve-obs", "", "serve live observability (/metrics, /progress, /debug/pprof) on this address while the simulation runs, e.g. :9100")
@@ -73,7 +71,7 @@ func main() {
 	flag.Parse()
 
 	if err := validateFlags(cliFlags{
-		n: *n, dims: *dims, radix: *radix, simWorkers: *simWorkers, tcus: *tcus,
+		n: *n, dims: *dims, radix: *radix, tcus: *tcus,
 		model: *useModel, coarse: *coarse, tracePath: *tracePath, utilSVG: *utilSVG, traceEpoch: *traceEpoch,
 		serveObs: *serveObs, obsSnapshot: *obsSnapshot,
 		obsSnapshotEvery: *obsSnapshotEvery, obsEpoch: *obsEpoch,
@@ -143,17 +141,14 @@ func main() {
 		}
 		if err := checkResumeConflicts(c.Meta, set, resumeView{
 			cfgName: *cfgName, tcus: *tcus, n: *n, dims: *dims, radix: *radix,
-			simWorkers: *simWorkers, watchdogWindow: *watchdogWindow,
-			faultSeed: *faultSeed, faultNoCDrop: *faultNoCDrop, faultNoCCorrupt: *faultNoCCorrupt,
+			watchdogWindow: *watchdogWindow, faultSeed: *faultSeed,
+			faultNoCDrop: *faultNoCDrop, faultNoCCorrupt: *faultNoCCorrupt,
 			faultDRAMBER: *faultDRAMBER, faultDRAMDBER: *faultDRAMDBER,
 			faultNoECC: *faultNoECC, faultKill: *faultKill,
 		}); err != nil {
 			usageError(err)
 		}
 		resumed = c
-		if !set["sim-workers"] {
-			*simWorkers = c.Meta.Workers
-		}
 		*n, *dims, *radix = c.Meta.Dims[2], c.Meta.DimCount, c.Meta.Radix
 		*watchdogWindow = c.Meta.WatchdogWindow
 	}
@@ -166,25 +161,20 @@ func main() {
 	if resumed != nil {
 		cfg = resumed.Meta.Config
 		plan = resumed.Meta.Plan
-		m, tr, err = resumed.Restore(*resumePath, *simWorkers)
+		m, tr, err = resumed.Restore(*resumePath)
 		if err != nil {
 			fatal(err)
 		}
 		slog.Info("resumed from checkpoint", "path", *resumePath,
 			"phase", fmt.Sprintf("%d/%d", resumed.Meta.PhasesDone, resumed.Meta.TotalPhases),
-			"cycle", resumed.Meta.Cycle, "workers", *simWorkers)
+			"cycle", resumed.Meta.Cycle)
 	} else {
 		if *tcus != 0 {
 			if cfg, err = cfg.Scaled(*tcus); err != nil {
 				fatal(err)
 			}
 		}
-		if *simWorkers > 0 {
-			m, err = xmt.NewParallel(cfg, *simWorkers)
-		} else {
-			m, err = xmt.New(cfg)
-		}
-		if err != nil {
+		if m, err = xmt.New(cfg); err != nil {
 			fatal(err)
 		}
 		plan = fault.Plan{
@@ -256,16 +246,13 @@ func main() {
 	}
 
 	// Checkpoint meta describes this run; it is also the post-mortem
-	// header. On resume the original meta carries forward (only the
-	// worker count may differ within the same engine kind).
+	// header. On resume the original meta carries forward.
 	meta := ckpt.Meta{
-		Config: cfg, Workers: *simWorkers,
-		DimCount: *dims, Dims: dimsOf(*dims, *n), Radix: *radix, Dir: int(fft.Forward),
+		Config: cfg, DimCount: *dims, Dims: dimsOf(*dims, *n), Radix: *radix, Dir: int(fft.Forward),
 		Plan: plan, WatchdogWindow: *watchdogWindow,
 	}
 	if resumed != nil {
 		meta = resumed.Meta
-		meta.Workers = *simWorkers
 	}
 	if !*coarse {
 		if meta.TotalPhases, err = tr.NumPhases(); err != nil {

@@ -19,7 +19,6 @@ type cliFlags struct {
 	n          int
 	dims       int
 	radix      int
-	simWorkers int
 	tcus       int
 	model      bool
 	coarse     bool
@@ -65,9 +64,6 @@ func validateFlags(f cliFlags) error {
 	case 0, 2, 4, 8:
 	default:
 		return fmt.Errorf("-radix must be 2, 4 or 8 (or 0 for greedy), got %d", f.radix)
-	}
-	if f.simWorkers < 0 {
-		return fmt.Errorf("-sim-workers must be >= 0 (0 selects the legacy serial engine), got %d", f.simWorkers)
 	}
 	if f.tcus < 0 {
 		return fmt.Errorf("-tcus must be >= 0 (0 keeps the full machine size), got %d", f.tcus)

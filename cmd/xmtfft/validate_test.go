@@ -22,7 +22,6 @@ func TestValidateFlags(t *testing.T) {
 		{"dims too big", func(f *cliFlags) { f.dims = 4 }, "-dims"},
 		{"radix odd", func(f *cliFlags) { f.radix = 3 }, "-radix"},
 		{"radix 8 ok", func(f *cliFlags) { f.radix = 8 }, ""},
-		{"negative workers", func(f *cliFlags) { f.simWorkers = -1 }, "-sim-workers"},
 		{"negative tcus", func(f *cliFlags) { f.tcus = -4 }, "-tcus"},
 		{"trace with zero epoch", func(f *cliFlags) { f.tracePath = "t.json"; f.traceEpoch = 0 }, "-trace-epoch"},
 		{"trace under model", func(f *cliFlags) { f.model = true; f.tracePath = "t.json" }, "-model"},

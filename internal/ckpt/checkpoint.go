@@ -27,8 +27,7 @@ const (
 // unset ones adopt it.
 type Meta struct {
 	// Machine construction parameters.
-	Config  config.Config
-	Workers int // -sim-workers at capture (0 = legacy serial engine)
+	Config config.Config
 
 	// Workload construction parameters.
 	DimCount int    // 1, 2 or 3
@@ -143,32 +142,18 @@ func Capture(m *xmt.Machine, t *core.Transform, meta Meta, partial *core.ResumeS
 	return &Checkpoint{Meta: meta, Machine: ms, Workload: partial}, nil
 }
 
-// Restore rebuilds a machine and transform from the checkpoint at the
-// given worker count and restores their state. The worker count may
-// differ from the captured one but must select the same engine kind
-// (0 = legacy serial; >= 1 = sharded — whose states are
-// worker-invariant). path is used only for error messages.
-func (c *Checkpoint) Restore(path string, workers int) (*xmt.Machine, *core.Transform, error) {
+// Restore rebuilds a machine and transform from the checkpoint and
+// restores their state. A machine state the restore cannot apply —
+// including one written by the removed sharded engine — is a
+// *MismatchError. path is used only for error messages.
+func (c *Checkpoint) Restore(path string) (*xmt.Machine, *core.Transform, error) {
 	if c.Meta.PostMortem {
 		return nil, nil, ErrPostMortem
 	}
 	if c.Machine == nil || c.Workload == nil {
 		return nil, nil, &MismatchError{Path: path, Reason: "meta-only checkpoint has no machine state"}
 	}
-	if (c.Meta.Workers == 0) != (workers == 0) {
-		return nil, nil, &MismatchError{Path: path, Reason: fmt.Sprintf(
-			"engine kind: checkpoint captured with -sim-workers %d, resume requested %d (serial and sharded cycle counts differ; use workers 0 for legacy checkpoints, >= 1 for sharded ones)",
-			c.Meta.Workers, workers)}
-	}
-	var (
-		m   *xmt.Machine
-		err error
-	)
-	if workers == 0 {
-		m, err = xmt.New(c.Meta.Config)
-	} else {
-		m, err = xmt.NewParallel(c.Meta.Config, workers)
-	}
+	m, err := xmt.New(c.Meta.Config)
 	if err != nil {
 		return nil, nil, err
 	}

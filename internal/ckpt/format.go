@@ -3,8 +3,7 @@
 // machine (internal/xmt.MachineState) plus the workload's host-side
 // state (internal/core.ResumeState) and enough metadata to rebuild an
 // identical machine, so a run killed mid-flight resumes bit-identical
-// to an uninterrupted one — same FFT output, cycle counts and stats, at
-// any worker count of the same engine kind.
+// to an uninterrupted one — same FFT output, cycle counts and stats.
 //
 // The on-disk container is deliberately dumb: a magic string, a format
 // version, and named sections each carrying a CRC32 of its payload.
@@ -70,8 +69,8 @@ func (e *VersionError) Error() string {
 }
 
 // MismatchError reports a well-formed checkpoint that cannot restore
-// onto the requested machine: wrong engine kind, wrong configuration,
-// or a workload shape conflict.
+// onto the requested machine: a state from the removed sharded engine,
+// wrong configuration, or a workload shape conflict.
 type MismatchError struct {
 	Path   string
 	Reason string

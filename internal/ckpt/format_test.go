@@ -12,7 +12,7 @@ import (
 // smallCheckpoint builds a meta-only checkpoint for format tests.
 func smallCheckpoint() *Checkpoint {
 	return &Checkpoint{Meta: Meta{
-		Config: config.FourK(), Workers: 2,
+		Config:   config.FourK(),
 		DimCount: 3, Dims: [3]int{16, 16, 16},
 		Cycle: 12345, PhasesDone: 3, TotalPhases: 12,
 	}}
@@ -35,7 +35,6 @@ func TestRoundTripMeta(t *testing.T) {
 	}
 	want := smallCheckpoint()
 	if got.Meta.Config.Name != want.Meta.Config.Name ||
-		got.Meta.Workers != want.Meta.Workers ||
 		got.Meta.Dims != want.Meta.Dims ||
 		got.Meta.Cycle != want.Meta.Cycle ||
 		got.Meta.PhasesDone != want.Meta.PhasesDone {
@@ -138,7 +137,7 @@ func TestPostMortemRefusedOnResume(t *testing.T) {
 	if !c.Meta.PostMortem || c.Meta.Note != "watchdog: no progress" {
 		t.Fatalf("post-mortem meta: %+v", c.Meta)
 	}
-	if _, _, err := c.Restore(path, 2); !errors.Is(err, ErrPostMortem) {
+	if _, _, err := c.Restore(path); !errors.Is(err, ErrPostMortem) {
 		t.Fatalf("Restore(post-mortem) = %v, want ErrPostMortem", err)
 	}
 }
@@ -150,7 +149,7 @@ func TestMetaOnlyRefusedOnResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	var me *MismatchError
-	if _, _, err := c.Restore(path, 2); !errors.As(err, &me) {
+	if _, _, err := c.Restore(path); !errors.As(err, &me) {
 		t.Fatalf("Restore(meta-only) = %v, want *MismatchError", err)
 	}
 }

@@ -23,7 +23,7 @@ func TestWatchdogPostMortem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := xmt.NewParallel(cfg, 2)
+	m, err := xmt.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestWatchdogPostMortem(t *testing.T) {
 	m.SetWatchdog(200_000)
 
 	path := filepath.Join(t.TempDir(), "crash.postmortem.ckpt")
-	meta := Meta{Config: cfg, Workers: 2, DimCount: 1, Dims: [3]int{1, 1, 64},
+	meta := Meta{Config: cfg, DimCount: 1, Dims: [3]int{1, 1, 64},
 		Dir: int(fft.Forward), Plan: plan, WatchdogWindow: 200_000}
 	fired := 0
 	m.OnWatchdog(func(we *sim.WatchdogError) {
@@ -67,7 +67,7 @@ func TestWatchdogPostMortem(t *testing.T) {
 	if !c.Meta.PostMortem || c.Meta.Note == "" {
 		t.Fatalf("post-mortem meta: %+v", c.Meta)
 	}
-	if _, _, err := c.Restore(path, 2); !errors.Is(err, ErrPostMortem) {
+	if _, _, err := c.Restore(path); !errors.Is(err, ErrPostMortem) {
 		t.Fatalf("Restore(post-mortem) = %v, want ErrPostMortem", err)
 	}
 }

@@ -1,17 +1,17 @@
 package ckpt
 
 // The checkpoint contract: a run checkpointed at a quiescent point and
-// resumed — in a fresh process, at any worker count of the same engine
-// kind — produces bit-identical results to an uninterrupted run: same
-// FFT output, same per-phase cycle counts, same machine clock, same
-// stats counters. Verified here across engine kinds and with active
-// fault injection; the CI kill-and-resume lane verifies the same
+// resumed in a fresh process produces bit-identical results to an
+// uninterrupted run: same FFT output, same per-phase cycle counts, same
+// machine clock, same stats counters. Verified here with and without
+// active fault injection; the CI kill-and-resume lane verifies the same
 // contract across a real kill -9.
 
 import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"xmtfft/internal/config"
@@ -44,17 +44,9 @@ func faultyPlan(clusters int) fault.Plan {
 	}
 }
 
-func buildMachine(t *testing.T, cfg config.Config, workers int, plan fault.Plan, watchdog uint64) (*xmt.Machine, *core.Transform) {
+func buildMachine(t *testing.T, cfg config.Config, plan fault.Plan, watchdog uint64) (*xmt.Machine, *core.Transform) {
 	t.Helper()
-	var (
-		m   *xmt.Machine
-		err error
-	)
-	if workers == 0 {
-		m, err = xmt.New(cfg)
-	} else {
-		m, err = xmt.NewParallel(cfg, workers)
-	}
+	m, err := xmt.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,9 +85,9 @@ func result(m *xmt.Machine, tr *core.Transform, run stats.Run) runResult {
 }
 
 // reference runs uninterrupted.
-func reference(t *testing.T, workers int, plan fault.Plan, watchdog uint64) runResult {
+func reference(t *testing.T, plan fault.Plan, watchdog uint64) runResult {
 	t.Helper()
-	m, tr := buildMachine(t, rtConfig(t), workers, plan, watchdog)
+	m, tr := buildMachine(t, rtConfig(t), plan, watchdog)
 	run, err := tr.Run(fft.Forward)
 	if err != nil {
 		t.Fatal(err)
@@ -107,16 +99,15 @@ var errStop = errors.New("stop for checkpoint")
 
 // killAndResume runs until rtStopAt phases, checkpoints to disk,
 // abandons the first machine (the "killed process"), then reads the
-// file back, restores at resumeWorkers and finishes the run.
-func killAndResume(t *testing.T, captureWorkers, resumeWorkers int, plan fault.Plan, watchdog uint64) runResult {
+// file back, restores it and finishes the run.
+func killAndResume(t *testing.T, plan fault.Plan, watchdog uint64) runResult {
 	t.Helper()
 	cfg := rtConfig(t)
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 
-	m, tr := buildMachine(t, cfg, captureWorkers, plan, watchdog)
+	m, tr := buildMachine(t, cfg, plan, watchdog)
 	meta := Meta{
-		Config: cfg, Workers: captureWorkers,
-		DimCount: 3, Dims: [3]int{rtN, rtN, rtN}, Dir: int(fft.Forward),
+		Config: cfg, DimCount: 3, Dims: [3]int{rtN, rtN, rtN}, Dir: int(fft.Forward),
 		Plan: plan, WatchdogWindow: watchdog,
 	}
 	var err error
@@ -150,7 +141,7 @@ func killAndResume(t *testing.T, captureWorkers, resumeWorkers int, plan fault.P
 	if c.Meta.PhasesDone != rtStopAt || c.Meta.Cycle == 0 {
 		t.Fatalf("checkpoint meta: %+v", c.Meta)
 	}
-	m2, tr2, err := c.Restore(path, resumeWorkers)
+	m2, tr2, err := c.Restore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,79 +176,127 @@ func compareRuns(t *testing.T, label string, ref, got runResult) {
 
 func TestResumeBitIdentical(t *testing.T) {
 	cfg := rtConfig(t)
-	for _, workers := range []int{0, 1, 4} {
-		for _, faulty := range []bool{false, true} {
-			label := "clean"
-			plan := fault.Plan{}
-			var wd uint64
-			if faulty {
-				label = "faulty"
-				plan = faultyPlan(cfg.Clusters)
-				wd = 1 << 30 // armed but never firing: its state must survive the round trip
-			}
-			t.Run(label+"/workers="+itoa(workers), func(t *testing.T) {
-				ref := reference(t, workers, plan, wd)
-				if want, _ := wantPhases(t); len(ref.run.Phases) != want {
-					t.Fatalf("reference ran %d phases, NumPhases says %d", len(ref.run.Phases), want)
-				}
-				got := killAndResume(t, workers, workers, plan, wd)
-				compareRuns(t, label, ref, got)
-			})
+	for _, faulty := range []bool{false, true} {
+		label := "clean"
+		plan := fault.Plan{}
+		var wd uint64
+		if faulty {
+			label = "faulty"
+			plan = faultyPlan(cfg.Clusters)
+			wd = 1 << 30 // armed but never firing: its state must survive the round trip
 		}
+		t.Run(label, func(t *testing.T) {
+			ref := reference(t, plan, wd)
+			if want, _ := wantPhases(t); len(ref.run.Phases) != want {
+				t.Fatalf("reference ran %d phases, NumPhases says %d", len(ref.run.Phases), want)
+			}
+			got := killAndResume(t, plan, wd)
+			compareRuns(t, label, ref, got)
+		})
 	}
 }
 
-// TestResumeAcrossWorkerCounts checks the worker-invariance contract:
-// a sharded checkpoint restores at any worker count >= 1 with identical
-// results, because shard state is independent of how shards are mapped
-// to OS threads.
-func TestResumeAcrossWorkerCounts(t *testing.T) {
-	cfg := rtConfig(t)
-	plan := faultyPlan(cfg.Clusters)
-	ref := reference(t, 4, plan, 0)
-	compareRuns(t, "capture@1 resume@4", ref, killAndResume(t, 1, 4, plan, 0))
-	compareRuns(t, "capture@4 resume@1", ref, killAndResume(t, 4, 1, plan, 0))
+// shardedEraMachine mirrors the machine section the removed sharded
+// engine wrote: no serial engine state, per-shard ports and counters in
+// place of per-cluster ports. Gob matches fields by name, so it decodes
+// into xmt.MachineState exactly as such a file does.
+type shardedEraMachine struct {
+	Parallel *struct{ Now, Windows uint64 }
+	Now      uint64
+	PSOps    uint64
+	Shards   []struct{ Counters stats.Counters }
+	Counters stats.Counters
 }
 
+// TestResumeRejectsEngineKindMismatch checks that a well-formed
+// checkpoint whose machine state cannot apply is refused with a
+// *MismatchError naming the cause — among them a checkpoint of the
+// removed sharded engine, whose machine section has no serial engine
+// state.
 func TestResumeRejectsEngineKindMismatch(t *testing.T) {
 	cfg := rtConfig(t)
-	capture := func(workers int) (*Checkpoint, string) {
-		path := filepath.Join(t.TempDir(), "kind.ckpt")
-		m, tr := buildMachine(t, cfg, workers, fault.Plan{}, 0)
-		meta := Meta{Config: cfg, Workers: workers, DimCount: 3, Dims: [3]int{rtN, rtN, rtN}, Dir: int(fft.Forward)}
-		_, err := tr.RunCheckpointed(fft.Forward, core.RunControl{
-			AfterPhase: func(done int, partial *stats.Run) error {
-				if done != 1 {
-					return nil
-				}
-				meta.PhasesDone = done
-				c, cerr := Capture(m, tr, meta, tr.ResumeSnapshot(fft.Forward, done, *partial))
-				if cerr != nil {
-					return cerr
-				}
-				if _, cerr := Write(path, c); cerr != nil {
-					return cerr
-				}
-				return errStop
-			},
-		})
-		if !errors.Is(err, errStop) {
-			t.Fatal(err)
-		}
-		c, err := Read(path)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "legacy.ckpt")
+	m, tr := buildMachine(t, cfg, fault.Plan{}, 0)
+	meta := Meta{Config: cfg, DimCount: 3, Dims: [3]int{rtN, rtN, rtN}, Dir: int(fft.Forward)}
+	_, err := tr.RunCheckpointed(fft.Forward, core.RunControl{
+		AfterPhase: func(done int, partial *stats.Run) error {
+			meta.PhasesDone = done
+			c, cerr := Capture(m, tr, meta, tr.ResumeSnapshot(fft.Forward, done, *partial))
+			if cerr != nil {
+				return cerr
+			}
+			if _, cerr := Write(path, c); cerr != nil {
+				return cerr
+			}
+			return errStop
+		},
+	})
+	if !errors.Is(err, errStop) {
+		t.Fatal(err)
+	}
+	legacy, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A sharded-era file: the same meta and workload sections around a
+	// machine section in the removed engine's shape.
+	shardedPath := filepath.Join(dir, "sharded.ckpt")
+	var secs []section
+	for _, s := range []struct {
+		name string
+		v    any
+	}{
+		{secMeta, &legacy.Meta},
+		{secMachine, &shardedEraMachine{Parallel: &struct{ Now, Windows uint64 }{legacy.Meta.Cycle, 9},
+			Now: legacy.Meta.Cycle, PSOps: 3, Shards: make([]struct{ Counters stats.Counters }, cfg.Clusters),
+			Counters: legacy.Machine.Counters}},
+		{secWorkload, legacy.Workload},
+	} {
+		sec, err := encodeSection(s.name, s.v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c, path
+		secs = append(secs, sec)
 	}
-	var me *MismatchError
-	sharded, path := capture(2)
-	if _, _, err := sharded.Restore(path, 0); !errors.As(err, &me) {
-		t.Fatalf("sharded checkpoint onto serial engine: %v, want *MismatchError", err)
+	if _, err := writeFileAtomic(shardedPath, secs); err != nil {
+		t.Fatal(err)
 	}
-	serial, path := capture(0)
-	if _, _, err := serial.Restore(path, 2); !errors.As(err, &me) {
-		t.Fatalf("serial checkpoint onto sharded engine: %v, want *MismatchError", err)
+	sharded, err := Read(shardedPath)
+	if err != nil {
+		t.Fatalf("sharded-era checkpoint unreadable: %v", err)
+	}
+
+	// A checkpoint whose machine state has more clusters than the
+	// machine its meta builds.
+	resized := *legacy
+	resized.Meta.Config, err = config.FourK().Scaled(rtTCUs / 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name, want string
+		ck         *Checkpoint
+		path       string
+	}{
+		{"sharded engine", "sharded parallel engine, which has been removed", sharded, shardedPath},
+		{"cluster count", "cluster states", &resized, path},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var me *MismatchError
+			_, _, err := c.ck.Restore(c.path)
+			if !errors.As(err, &me) {
+				t.Fatalf("Restore = %v, want *MismatchError", err)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Restore error %q does not name %q", err, c.want)
+			}
+		})
+	}
+	if _, _, err := legacy.Restore(path); err != nil {
+		t.Fatalf("legacy checkpoint does not restore: %v", err)
 	}
 }
 
@@ -273,16 +312,4 @@ func wantPhases(t *testing.T) (int, error) {
 		t.Fatal(err)
 	}
 	return tr.NumPhases()
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	return string(b)
 }

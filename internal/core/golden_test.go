@@ -39,7 +39,6 @@ type goldenCase struct {
 	name           string
 	cfg            func() config.Config
 	dims           [3]int
-	workers        int  // 0 = serial engine, 1 = sharded engine's serial driver
 	prefetchFaults bool // prefetch on, DRAM and NoC faults armed
 	want           goldenOutcome
 }
@@ -47,6 +46,13 @@ type goldenCase struct {
 // goldenPlan arms DRAM bit errors and NoC drops/corruption together.
 func goldenPlan() fault.Plan {
 	return fault.Plan{Seed: 11, NoCDrop: 0.01, NoCCorrupt: 0.005, DRAMBitErr: 0.002, DRAMDoubleBitErr: 0.0005}
+}
+
+// fillTest seeds a transform's input with a fixed deterministic pattern.
+func fillTest(data []complex64) {
+	for i := range data {
+		data[i] = complex(float32(i%17)-8, float32(i%11)-5)
+	}
 }
 
 func scaledConfig(base func() config.Config, tcus int) func() config.Config {
@@ -61,15 +67,7 @@ func scaledConfig(base func() config.Config, tcus int) func() config.Config {
 
 func runGolden(t *testing.T, c goldenCase) goldenOutcome {
 	t.Helper()
-	var (
-		m   *xmt.Machine
-		err error
-	)
-	if c.workers == 0 {
-		m, err = xmt.New(c.cfg())
-	} else {
-		m, err = xmt.NewParallel(c.cfg(), c.workers)
-	}
+	m, err := xmt.New(c.cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +124,6 @@ func TestGoldenBitIdentity(t *testing.T) {
 			want: goldenOutcome{
 				Cycles: 162730, Events: 111336, Hits: 1083348, Misses: 23628, Writebacks: 11084, QueueDelay: 332178960, RowHits: 11117, RowMisses: 31900, ModuleLoad: 4682595499926708635, Blocked: 0,
 				Counters: stats.Counters{FPOps: 2219520, ALUOps: 591336, Loads: 713040, Stores: 393936, PSOps: 33792, Threads: 37248, Spawns: 12, CacheHits: 1083348, CacheMisses: 23628, DRAMBytes: 1376544, NoCPackets: 1836906, Prefetches: 8305, RowHits: 11117, RowMisses: 31900, NoCDropped: 11230, NoCCorrupted: 5660, NoCRetransmits: 16890, ECCCorrected: 38, ECCUncorrectable: 9}}},
-		{name: "4k/sharded1/prefetch+faults", cfg: fourK, dims: [3]int{32, 32, 32}, workers: 1, prefetchFaults: true,
-			want: goldenOutcome{
-				Cycles: 162722, Events: 111336, Hits: 1083254, Misses: 23722, Writebacks: 11111, QueueDelay: 332614675, RowHits: 11392, RowMisses: 31746, ModuleLoad: 4682595499926708635, Blocked: 0,
-				Counters: stats.Counters{FPOps: 2219520, ALUOps: 591336, Loads: 713040, Stores: 393936, PSOps: 33792, Threads: 37248, Spawns: 12, CacheHits: 1083254, CacheMisses: 23722, DRAMBytes: 1380416, NoCPackets: 1836906, Prefetches: 8305, RowHits: 11392, RowMisses: 31746, NoCDropped: 11230, NoCCorrupted: 5660, NoCRetransmits: 16890, ECCCorrected: 37, ECCUncorrectable: 9}}},
 		{name: "64k/serial", cfg: sixtyFourK, dims: [3]int{64, 64, 32},
 			want: goldenOutcome{
 				Cycles: 238366, Events: 347040, Hits: 4363728, Misses: 129712, Writebacks: 44491, QueueDelay: 4120623050, RowHits: 26733, RowMisses: 147470, ModuleLoad: 14187320005201698344, Blocked: 302663460,
@@ -138,10 +132,6 @@ func TestGoldenBitIdentity(t *testing.T) {
 			want: goldenOutcome{
 				Cycles: 238758, Events: 347040, Hits: 4407762, Misses: 85678, Writebacks: 44480, QueueDelay: 4145055557, RowHits: 27457, RowMisses: 147081, ModuleLoad: 14187320005201698344, Blocked: 344888396,
 				Counters: stats.Counters{FPOps: 10057728, ALUOps: 1841056, Loads: 2917696, Stores: 1575744, PSOps: 102400, Threads: 116224, Spawns: 12, CacheHits: 4407762, CacheMisses: 85678, DRAMBytes: 5585216, NoCPackets: 7479625, Prefetches: 44380, RowHits: 27457, RowMisses: 147081, NoCDropped: 45661, NoCCorrupted: 22828, NoCRetransmits: 68489, ECCCorrected: 170, ECCUncorrectable: 49}}},
-		{name: "64k/sharded1/prefetch+faults", cfg: sixtyFourK, dims: [3]int{64, 64, 32}, workers: 1, prefetchFaults: true,
-			want: goldenOutcome{
-				Cycles: 238749, Events: 347040, Hits: 4407744, Misses: 85696, Writebacks: 44509, QueueDelay: 4133570836, RowHits: 27410, RowMisses: 147210, ModuleLoad: 14187320005201698344, Blocked: 344884953,
-				Counters: stats.Counters{FPOps: 10057728, ALUOps: 1841056, Loads: 2917696, Stores: 1575744, PSOps: 102400, Threads: 116224, Spawns: 12, CacheHits: 4407744, CacheMisses: 85696, DRAMBytes: 5587840, NoCPackets: 7479625, Prefetches: 44415, RowHits: 27410, RowMisses: 147210, NoCDropped: 45661, NoCCorrupted: 22828, NoCRetransmits: 68489, ECCCorrected: 170, ECCUncorrectable: 49}}},
 		{name: "64k-full/serial", cfg: config.SixtyFourK, dims: [3]int{32, 32, 32},
 			want: goldenOutcome{
 				Cycles: 40741, Events: 205824, Hits: 1222656, Misses: 18432, Writebacks: 0, QueueDelay: 56684340, RowHits: 0, RowMisses: 18432, ModuleLoad: 12595427635228840269, Blocked: 1696117092,

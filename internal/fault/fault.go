@@ -1,19 +1,17 @@
 // Package fault is the deterministic fault-injection engine of the
 // simulator's robustness subsystem. It provides seed-driven random
-// streams (one independent splitmix64 stream per fault domain and site,
-// so shards can draw concurrently without sharing state) and the Plan
-// describing which faults to inject: rates (per-packet NoC drop or
-// corruption probability, per-line-fetch DRAM bit-error rates) and
-// explicit schedules (drop the Nth packet, kill a listed cluster).
+// streams (one independent splitmix64 stream per fault domain and site)
+// and the Plan describing which faults to inject: rates (per-packet NoC
+// drop or corruption probability, per-line-fetch DRAM bit-error rates)
+// and explicit schedules (drop the Nth packet, kill a listed cluster).
 //
 // Determinism contract: a Plan plus a seed fully determines every fault
 // a run experiences. Streams are keyed by (seed, domain, site) so the
 // draw sequence of one site never depends on activity at another —
 // DRAM module 7's errors are the same whether module 3 was busy or
-// idle, and the same for every -sim-workers count, because each stream
-// is only ever advanced from one deterministically-ordered call site
-// (the NoC stream from the coordinator / serial event loop, each DRAM
-// stream from its owning shard). The resilience mechanisms that absorb
+// idle, because each stream is only ever advanced from one
+// deterministically ordered call site (the NoC stream and each DRAM
+// module's stream from the engine's event loop). The resilience mechanisms that absorb
 // these faults live with the hardware they protect: the retransmit
 // protocol in internal/noc, the SECDED ECC model in internal/mem, the
 // spawn-boundary cluster failover in internal/xmt, and the livelock
@@ -32,7 +30,7 @@ const (
 	// DomainNoC draws per-packet drop/corruption outcomes.
 	DomainNoC Domain = iota
 	// DomainDRAM draws per-line-fetch bit-error outcomes (site = memory
-	// module index, so module streams are independent and shard-safe).
+	// module index, so module streams are independent).
 	DomainDRAM
 	// DomainCompute draws cluster fail-stop choices.
 	DomainCompute

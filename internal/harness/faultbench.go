@@ -42,7 +42,6 @@ type FaultBenchRecord struct {
 	TCUs    int                `json:"tcus"`
 	N       int                `json:"n"` // points per dimension, n^3 total
 	Seed    uint64             `json:"seed"`
-	Workers int                `json:"workers"` // 0 = legacy serial engine
 	Results []FaultBenchResult `json:"results"`
 	Note    string             `json:"note,omitempty"`
 }
@@ -56,14 +55,8 @@ func (r *FaultBenchRecord) Write(w io.Writer) error {
 
 // faultBenchOnce runs one n^3 FFT under the given plan and returns the
 // measurement plus the raw output bits (for the protection check).
-func faultBenchOnce(cfg config.Config, n, workers int, plan *fault.Plan) (FaultBenchResult, []complex64, error) {
-	var m *xmt.Machine
-	var err error
-	if workers > 0 {
-		m, err = xmt.NewParallel(cfg, workers)
-	} else {
-		m, err = xmt.New(cfg)
-	}
+func faultBenchOnce(cfg config.Config, n int, plan *fault.Plan) (FaultBenchResult, []complex64, error) {
+	m, err := xmt.New(cfg)
 	if err != nil {
 		return FaultBenchResult{}, nil, err
 	}
@@ -104,7 +97,7 @@ func faultBenchOnce(cfg config.Config, n, workers int, plan *fault.Plan) (FaultB
 // corruption with probability r/2 and DRAM single-bit errors with
 // probability r per line fetch, all protected (retransmit + SECDED).
 // Rate 0 is always measured (and prepended if absent) as the baseline.
-func RunFaultBench(tcus, n, workers int, seed uint64, rates []float64) (*FaultBenchRecord, error) {
+func RunFaultBench(tcus, n int, seed uint64, rates []float64) (*FaultBenchRecord, error) {
 	cfg, err := config.FourK().Scaled(tcus)
 	if err != nil {
 		return nil, err
@@ -123,7 +116,7 @@ func RunFaultBench(tcus, n, workers int, seed uint64, rates []float64) (*FaultBe
 	}
 	rec := &FaultBenchRecord{
 		Kind: "xmt-fault-bench", Config: cfg.Name, TCUs: cfg.TCUs,
-		N: n, Seed: seed, Workers: workers,
+		N: n, Seed: seed,
 	}
 	var baseCycles uint64
 	var baseOut []complex64
@@ -132,7 +125,7 @@ func RunFaultBench(tcus, n, workers int, seed uint64, rates []float64) (*FaultBe
 		if rate > 0 {
 			plan = &fault.Plan{Seed: seed, NoCDrop: rate, NoCCorrupt: rate / 2, DRAMBitErr: rate}
 		}
-		res, out, err := faultBenchOnce(cfg, n, workers, plan)
+		res, out, err := faultBenchOnce(cfg, n, plan)
 		if err != nil {
 			return nil, fmt.Errorf("harness: fault bench at rate %g: %w", rate, err)
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestRunFaultBench(t *testing.T) {
-	rec, err := RunFaultBench(64, 8, 2, 1, []float64{0.02})
+	rec, err := RunFaultBench(64, 8, 1, []float64{0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestRunFaultBench(t *testing.T) {
 }
 
 func TestRunFaultBenchRejectsBadRate(t *testing.T) {
-	if _, err := RunFaultBench(64, 8, 1, 1, []float64{1.5}); err == nil {
+	if _, err := RunFaultBench(64, 8, 1, []float64{1.5}); err == nil {
 		t.Fatal("rate > 1 accepted")
 	}
 }

@@ -317,18 +317,11 @@ func WeakScalingReport(w io.Writer) error {
 // rather than modeled — the cross-validation artifact. tcus selects the
 // scaled machine size and n the (small) cube size.
 func Fig3Detailed(w io.Writer, base config.Config, tcus, n int) error {
-	return Fig3DetailedWorkers(w, base, tcus, n, 0)
-}
-
-// Fig3DetailedWorkers is Fig3Detailed with an explicit simulation worker
-// count: 0 runs the legacy serial engine, >= 1 the sharded parallel
-// engine with that many workers (1 being its serial driver).
-func Fig3DetailedWorkers(w io.Writer, base config.Config, tcus, n, workers int) error {
 	cfg, err := base.Scaled(tcus)
 	if err != nil {
 		return err
 	}
-	m, err := newMachine(cfg, workers)
+	m, err := xmt.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -397,15 +390,6 @@ func AblationReport(w io.Writer, tcus, n int) error {
 	return err
 }
 
-// newMachine builds a machine on the legacy serial engine (workers == 0)
-// or the sharded parallel engine (workers >= 1; see xmt.NewParallel).
-func newMachine(cfg config.Config, workers int) (*xmt.Machine, error) {
-	if workers == 0 {
-		return xmt.New(cfg)
-	}
-	return xmt.NewParallel(cfg, workers)
-}
-
 // AblationReportTrace is AblationReport with tracing: when epoch is
 // non-zero, the baseline ("paper") variant runs with a trace recorder
 // sampling utilization every epoch cycles, and the recorder is returned
@@ -413,23 +397,16 @@ func newMachine(cfg config.Config, workers int) (*xmt.Machine, error) {
 // variants run untraced so the table's relative timings are unaffected
 // either way — attaching a recorder never alters simulated cycles.
 func AblationReportTrace(w io.Writer, tcus, n int, epoch uint64) (*trace.Recorder, error) {
-	return AblationReportTraceWorkers(w, tcus, n, epoch, 0)
+	return AblationReportObs(w, tcus, n, epoch, nil)
 }
 
-// AblationReportTraceWorkers is AblationReportTrace with an explicit
-// simulation worker count (0 = legacy serial engine, >= 1 = sharded
-// parallel engine).
-func AblationReportTraceWorkers(w io.Writer, tcus, n int, epoch uint64, workers int) (*trace.Recorder, error) {
-	return AblationReportObs(w, tcus, n, epoch, workers, nil)
-}
-
-// AblationReportObs is AblationReportTraceWorkers with an optional live
+// AblationReportObs is AblationReportTrace with an optional live
 // observability surface: when obs is non-nil, every variant's machine
 // is attached to it (live metrics sampling plus engine telemetry, both
 // cumulative across the sweep) and each finished variant ticks one work
 // unit so /progress can show an ETA. A nil obs is the plain report.
-func AblationReportObs(w io.Writer, tcus, n int, epoch uint64, workers int, obs *Obs) (*trace.Recorder, error) {
-	return AblationReportCkpt(w, tcus, n, epoch, workers, obs, nil)
+func AblationReportObs(w io.Writer, tcus, n int, epoch uint64, obs *Obs) (*trace.Recorder, error) {
+	return AblationReportCkpt(w, tcus, n, epoch, obs, nil)
 }
 
 // AblationCkpt configures checkpoint/resume for an ablation sweep. The
@@ -460,7 +437,7 @@ var ErrInterrupted = errors.New("harness: run interrupted by signal")
 
 // AblationReportCkpt is AblationReportObs with checkpoint/resume at
 // variant granularity (nil ck = plain report).
-func AblationReportCkpt(w io.Writer, tcus, n int, epoch uint64, workers int, obs *Obs, ck *AblationCkpt) (*trace.Recorder, error) {
+func AblationReportCkpt(w io.Writer, tcus, n int, epoch uint64, obs *Obs, ck *AblationCkpt) (*trace.Recorder, error) {
 	cfg, err := config.FourK().Scaled(tcus)
 	if err != nil {
 		return nil, err
@@ -491,10 +468,6 @@ func AblationReportCkpt(w io.Writer, tcus, n int, epoch uint64, workers int, obs
 			return nil, fmt.Errorf("harness: ablation resume at variant %d with %d cycle records (sweep has %d variants)",
 				meta.Stage, len(meta.StageCycles), len(variants))
 		}
-		if (meta.Workers == 0) != (workers == 0) {
-			return nil, fmt.Errorf("harness: ablation resume: checkpoint captured with %d sim workers, run has %d (serial and sharded cycle counts differ)",
-				meta.Workers, workers)
-		}
 		start = meta.Stage
 		stageCycles = append(stageCycles, meta.StageCycles...)
 	}
@@ -515,8 +488,7 @@ func AblationReportCkpt(w io.Writer, tcus, n int, epoch uint64, workers int, obs
 			return nil
 		}
 		c := &ckpt.Checkpoint{Meta: ckpt.Meta{
-			Config: cfg, Workers: workers,
-			DimCount: 3, Dims: [3]int{n, n, n},
+			Config: cfg, DimCount: 3, Dims: [3]int{n, n, n},
 			Stage: done, StageCycles: stageCycles,
 			Cycle: stageCycles[done-1],
 			Note:  "ablation sweep progress (meta-only)",
@@ -549,7 +521,7 @@ func AblationReportCkpt(w io.Writer, tcus, n int, epoch uint64, workers int, obs
 	var rec *trace.Recorder
 	for vi := start; vi < len(variants); vi++ {
 		v := variants[vi]
-		m, err := newMachine(cfg, workers)
+		m, err := xmt.New(cfg)
 		if err != nil {
 			return nil, err
 		}

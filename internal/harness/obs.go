@@ -7,7 +7,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -19,8 +18,8 @@ import (
 // Obs is the live observability surface for a long simulation run: one
 // metrics registry fed from three sources — the machine-level bridge
 // (ops, faults, utilization; internal/metrics.MachineSet), the
-// engine-level telemetry (per-shard event counts, cycle frontier, queue
-// depths, watchdog heartbeat; sim.Telemetry), and a few wall-clock
+// engine-level telemetry (event count, cycle frontier, queue depth,
+// watchdog heartbeat; sim.Telemetry), and a few wall-clock
 // series computed at scrape time (event rates, uptime, heartbeat age).
 // It serves /metrics (OpenMetrics), /progress (JSON with events/sec and
 // an ETA) and /debug/pprof/*, and can mirror the exposition to a
@@ -41,43 +40,37 @@ type Obs struct {
 	start time.Time
 
 	// Wall-clock scrape-side series.
-	uptime      *metrics.Gauge
-	simCycle    *metrics.Gauge
-	simPending  *metrics.Gauge
-	simEvents   *metrics.Counter
-	simWindows  *metrics.Counter
-	simMessages *metrics.Counter
-	eventRate   *metrics.Gauge
-	wdLast      *metrics.Gauge
-	wdWindow    *metrics.Gauge
-	wdAge       *metrics.Gauge
-	workDoneG   *metrics.Gauge
-	workTotalG  *metrics.Gauge
+	uptime     *metrics.Gauge
+	simCycle   *metrics.Gauge
+	simPending *metrics.Gauge
+	simEvents  *metrics.Counter
+	eventRate  *metrics.Gauge
+	wdLast     *metrics.Gauge
+	wdWindow   *metrics.Gauge
+	wdAge      *metrics.Gauge
+	workDoneG  *metrics.Gauge
+	workTotalG *metrics.Gauge
 
 	// Checkpoint series, fed by RecordCheckpoint.
 	ckptWrites    *metrics.Counter
 	ckptBytes     *metrics.Counter
 	ckptLastCycle *metrics.Gauge
 
-	shardEvents  *metrics.CounterVec
-	shardCycle   *metrics.GaugeVec
-	shardPending *metrics.GaugeVec
-	shardRate    *metrics.GaugeVec
+	// The per-shard series of the one engine, which reports as shard 0:
+	// the same values as the engine totals, under the shard-labelled
+	// names observers key on.
+	shardEvents  *metrics.Counter
+	shardCycle   *metrics.Gauge
+	shardPending *metrics.Gauge
+	shardRate    *metrics.Gauge
 
 	mu         sync.Mutex
 	machine    *xmt.Machine
 	prevTime   time.Time
 	prevEvents uint64
 	rate       float64
-	prevShard  []uint64
-	shardRateV []float64
-	// cached vec children, indexed by shard
-	chEvents  []*metrics.Counter
-	chCycle   []*metrics.Gauge
-	chPending []*metrics.Gauge
-	chRate    []*metrics.Gauge
-	workDone  int
-	workTotal int
+	workDone   int
+	workTotal  int
 
 	srv      *http.Server
 	ln       net.Listener
@@ -94,27 +87,25 @@ func NewObs() *Obs {
 		Telemetry: &sim.Telemetry{},
 		start:     time.Now(),
 
-		uptime:      reg.Gauge("xmtfft_uptime_seconds", "Wall-clock seconds since the observability surface was created."),
-		simCycle:    reg.Gauge("xmtfft_sim_cycle", "Simulated-cycle frontier of the attached engine."),
-		simPending:  reg.Gauge("xmtfft_sim_pending_events", "Events queued in the attached engine at last publish."),
-		simEvents:   reg.Counter("xmtfft_sim_events", "Discrete events executed, cumulative across attached engines."),
-		simWindows:  reg.Counter("xmtfft_sim_windows", "Conservative time windows completed by the sharded engine."),
-		simMessages: reg.Counter("xmtfft_sim_messages", "Cross-shard messages merged by the sharded engine."),
-		eventRate:   reg.Gauge("xmtfft_sim_events_per_second", "Event execution rate over the last scrape interval."),
-		wdLast:      reg.Gauge("xmtfft_watchdog_last_progress_cycle", "Cycle of the watchdog's latest progress mark (0 without a watchdog)."),
-		wdWindow:    reg.Gauge("xmtfft_watchdog_window_cycles", "Watchdog abort threshold in cycles (0 without a watchdog)."),
-		wdAge:       reg.Gauge("xmtfft_watchdog_heartbeat_age_seconds", "Wall-clock age of the engine's last telemetry publish; NaN before the first."),
-		workDoneG:   reg.Gauge("xmtfft_work_done", "Completed work units of the current job (e.g. ablation variants)."),
-		workTotalG:  reg.Gauge("xmtfft_work_units", "Total work units of the current job; 0 when unknown."),
+		uptime:     reg.Gauge("xmtfft_uptime_seconds", "Wall-clock seconds since the observability surface was created."),
+		simCycle:   reg.Gauge("xmtfft_sim_cycle", "Simulated-cycle frontier of the attached engine."),
+		simPending: reg.Gauge("xmtfft_sim_pending_events", "Events queued in the attached engine at last publish."),
+		simEvents:  reg.Counter("xmtfft_sim_events", "Discrete events executed, cumulative across attached engines."),
+		eventRate:  reg.Gauge("xmtfft_sim_events_per_second", "Event execution rate over the last scrape interval."),
+		wdLast:     reg.Gauge("xmtfft_watchdog_last_progress_cycle", "Cycle of the watchdog's latest progress mark (0 without a watchdog)."),
+		wdWindow:   reg.Gauge("xmtfft_watchdog_window_cycles", "Watchdog abort threshold in cycles (0 without a watchdog)."),
+		wdAge:      reg.Gauge("xmtfft_watchdog_heartbeat_age_seconds", "Wall-clock age of the engine's last telemetry publish; NaN before the first."),
+		workDoneG:  reg.Gauge("xmtfft_work_done", "Completed work units of the current job (e.g. ablation variants)."),
+		workTotalG: reg.Gauge("xmtfft_work_units", "Total work units of the current job; 0 when unknown."),
 
 		ckptWrites:    reg.Counter("xmtfft_ckpt_writes", "Checkpoint files written by this run."),
 		ckptBytes:     reg.Counter("xmtfft_ckpt_bytes", "Total bytes of checkpoint data written by this run."),
 		ckptLastCycle: reg.Gauge("xmtfft_ckpt_last_cycle", "Simulated cycle of the most recent checkpoint (0 before the first)."),
 
-		shardEvents:  reg.CounterVec("xmtfft_sim_shard_events", "Events executed per engine shard (serial engine reports as shard 0).", "shard"),
-		shardCycle:   reg.GaugeVec("xmtfft_sim_shard_cycle", "Per-shard clock at last publish.", "shard"),
-		shardPending: reg.GaugeVec("xmtfft_sim_shard_pending_events", "Per-shard queued events at last publish.", "shard"),
-		shardRate:    reg.GaugeVec("xmtfft_sim_shard_events_per_second", "Per-shard event execution rate over the last scrape interval.", "shard"),
+		shardEvents:  reg.CounterVec("xmtfft_sim_shard_events", "Events executed per engine shard (the engine reports as shard 0).", "shard").With("0"),
+		shardCycle:   reg.GaugeVec("xmtfft_sim_shard_cycle", "Per-shard clock at last publish.", "shard").With("0"),
+		shardPending: reg.GaugeVec("xmtfft_sim_shard_pending_events", "Per-shard queued events at last publish.", "shard").With("0"),
+		shardRate:    reg.GaugeVec("xmtfft_sim_shard_events_per_second", "Per-shard event execution rate over the last scrape interval.", "shard").With("0"),
 	}
 	o.wdAge.Set(math.NaN())
 	o.prevTime = o.start
@@ -168,12 +159,13 @@ func (o *Obs) Refresh() {
 	t := o.Telemetry
 
 	o.uptime.Set(now.Sub(o.start).Seconds())
-	o.simCycle.SetUint(t.Cycle.Load())
-	o.simPending.SetUint(t.Pending.Load())
-	events := t.Events.Load()
+	cycle, pending, events := t.Cycle.Load(), t.Pending.Load(), t.Events.Load()
+	o.simCycle.SetUint(cycle)
+	o.simPending.SetUint(pending)
 	o.simEvents.Set(events)
-	o.simWindows.Set(t.Windows.Load())
-	o.simMessages.Set(t.Messages.Load())
+	o.shardCycle.SetUint(cycle)
+	o.shardPending.SetUint(pending)
+	o.shardEvents.Set(events)
 	o.wdLast.SetUint(t.WatchdogLast.Load())
 	o.wdWindow.SetUint(t.WatchdogWindow.Load())
 	if age, ok := t.HeartbeatAge(now); ok {
@@ -185,34 +177,13 @@ func (o *Obs) Refresh() {
 	// Rates use the interval since the previous refresh; sub-millisecond
 	// intervals (back-to-back scrapes) keep the previous value instead of
 	// amplifying noise.
-	dt := now.Sub(o.prevTime).Seconds()
-	view := t.ShardView()
-	for i := len(o.chEvents); i < len(view); i++ {
-		lbl := strconv.Itoa(i)
-		o.chEvents = append(o.chEvents, o.shardEvents.With(lbl))
-		o.chCycle = append(o.chCycle, o.shardCycle.With(lbl))
-		o.chPending = append(o.chPending, o.shardPending.With(lbl))
-		o.chRate = append(o.chRate, o.shardRate.With(lbl))
-		o.prevShard = append(o.prevShard, 0)
-		o.shardRateV = append(o.shardRateV, 0)
-	}
-	for i, sh := range view {
-		ev := sh.Events.Load()
-		o.chEvents[i].Set(ev)
-		o.chCycle[i].SetUint(sh.Cycle.Load())
-		o.chPending[i].SetUint(sh.Pending.Load())
-		if dt >= 1e-3 {
-			o.shardRateV[i] = float64(ev-o.prevShard[i]) / dt
-			o.prevShard[i] = ev
-		}
-		o.chRate[i].Set(o.shardRateV[i])
-	}
-	if dt >= 1e-3 {
+	if dt := now.Sub(o.prevTime).Seconds(); dt >= 1e-3 {
 		o.rate = float64(events-o.prevEvents) / dt
 		o.prevEvents = events
 		o.prevTime = now
 	}
 	o.eventRate.Set(o.rate)
+	o.shardRate.Set(o.rate)
 }
 
 // Progress is the /progress JSON document.
@@ -223,9 +194,7 @@ type Progress struct {
 	Events          uint64  `json:"events"`
 	EventsPerSec    float64 `json:"events_per_sec"`
 	PendingEvents   uint64  `json:"pending_events"`
-	Windows         uint64  `json:"windows"`
-	Messages        uint64  `json:"messages"`
-	Shards          int     `json:"shards"`
+	Shards          int     `json:"shards"`            // 1: the engine reports as one shard
 	HeartbeatAgeSec float64 `json:"heartbeat_age_sec"` // -1 before the first engine publish
 	WatchdogCycle   uint64  `json:"watchdog_cycle"`
 	WorkDone        int     `json:"work_done"`
@@ -247,9 +216,7 @@ func (o *Obs) Progress() Progress {
 		Events:          t.Events.Load(),
 		EventsPerSec:    o.rate,
 		PendingEvents:   t.Pending.Load(),
-		Windows:         t.Windows.Load(),
-		Messages:        t.Messages.Load(),
-		Shards:          len(t.ShardView()),
+		Shards:          1,
 		HeartbeatAgeSec: -1,
 		WatchdogCycle:   t.WatchdogLast.Load(),
 		WorkDone:        o.workDone,

@@ -3,94 +3,34 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
-
-	"xmtfft/internal/config"
 )
 
-// Small sizes throughout: these are the CI-speed paths of the
-// reporting entry points; the raised production defaults live in the
-// command flags.
-
-func TestFig3DetailedWorkers(t *testing.T) {
-	for _, workers := range []int{0, 1, 2} {
-		out := render(t, func(b *bytes.Buffer) error {
-			return Fig3DetailedWorkers(b, config.FourK(), 256, 8, workers)
-		})
-		if !strings.Contains(out, "DETAILED-SIM ROOFLINE") {
-			t.Errorf("workers=%d: report missing header:\n%s", workers, out)
-		}
-	}
-}
-
-func TestAblationReportWorkers(t *testing.T) {
-	// The sharded engine must produce the same table shape; cycle values
-	// differ from the legacy engine (different canonical semantics) but
-	// the baseline row is still normalized to 1.00x.
-	out := render(t, func(b *bytes.Buffer) error {
-		_, err := AblationReportTraceWorkers(b, 256, 8, 0, 2)
-		return err
-	})
-	for _, want := range []string{"ABLATIONS", "radix 8, fine (paper)", "1.00x"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("sharded ablation report missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestRunSimBench(t *testing.T) {
-	rec, err := RunSimBench(64, 4, []int{1, 2}, 1)
+	rec, err := RunSimBench(64, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Kind != "xmt-sim-bench" || rec.NumCPU < 1 || rec.GoMaxProcs < 1 {
+	if rec.Kind != "xmt-sim-bench" || rec.NumCPU < 1 || rec.GoMaxProcs < 1 || rec.GoVersion == "" {
 		t.Fatalf("bad record header: %+v", rec)
 	}
-	if len(rec.Results) != 3 { // legacy + 2 sharded
-		t.Fatalf("got %d results, want 3", len(rec.Results))
+	if rec.Reps != 2 {
+		t.Errorf("reps = %d, want 2", rec.Reps)
 	}
-	if rec.Results[0].Engine != "legacy" || rec.Results[0].Workers != 0 {
-		t.Fatalf("first result should be the legacy engine: %+v", rec.Results[0])
+	if rec.Cycles == 0 || rec.Events == 0 || rec.UsefulEvents == 0 {
+		t.Errorf("empty measurement %+v", rec.SimBenchResult)
 	}
-	var shardedCycles, usefulRef uint64
-	for _, r := range rec.Results {
-		if r.Cycles == 0 || r.Events == 0 {
-			t.Errorf("%s workers=%d: empty measurement %+v", r.Engine, r.Workers, r)
-		}
-		// Useful (model-level) events are a property of the workload, not
-		// the engine: every row must agree, or the throughput comparison
-		// is not apples-to-apples.
-		if r.UsefulEvents == 0 {
-			t.Errorf("%s workers=%d: zero useful events", r.Engine, r.Workers)
-		}
-		if usefulRef == 0 {
-			usefulRef = r.UsefulEvents
-		} else if r.UsefulEvents != usefulRef {
-			t.Errorf("%s workers=%d: useful events %d differ from %d — engines disagree on model work",
-				r.Engine, r.Workers, r.UsefulEvents, usefulRef)
-		}
-		if r.ElapsedSec > 0 && r.UsefulEventsPerSec == 0 {
-			t.Errorf("%s workers=%d: throughput not derived from useful events", r.Engine, r.Workers)
-		}
-		if r.Engine == "sharded" {
-			if shardedCycles == 0 {
-				shardedCycles = r.Cycles
-			} else if r.Cycles != shardedCycles {
-				t.Errorf("sharded cycles diverge: %d vs %d", r.Cycles, shardedCycles)
-			}
-			if r.Windows == 0 {
-				t.Errorf("sharded run reports zero windows")
-			}
-		}
+	if rec.ElapsedSec > 0 && rec.UsefulEventsPerSec != float64(rec.UsefulEvents)/rec.ElapsedSec {
+		t.Errorf("throughput not derived from useful events: %+v", rec.SimBenchResult)
 	}
-	if rec.Results[0].ElapsedSec > 0 && rec.Results[1].ElapsedSec > 0 {
-		if rec.OverheadVsLegacy <= 0 {
-			t.Errorf("overhead_vs_legacy missing despite measurable timings: %+v", rec)
-		}
+	// The simulation is deterministic: a second bench measures the same
+	// simulated work.
+	again, err := RunSimBench(64, 4, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := rec.SpeedupVsSerialDriver["workers=2"]; !ok {
-		t.Errorf("missing speedup entry: %+v", rec.SpeedupVsSerialDriver)
+	if again.Cycles != rec.Cycles || again.Events != rec.Events || again.UsefulEvents != rec.UsefulEvents {
+		t.Errorf("reruns disagree: %+v vs %+v", again.SimBenchResult, rec.SimBenchResult)
 	}
 	var buf bytes.Buffer
 	if err := rec.Write(&buf); err != nil {
@@ -100,7 +40,7 @@ func TestRunSimBench(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("record does not round-trip as JSON: %v", err)
 	}
-	if back.Config != rec.Config || len(back.Results) != len(rec.Results) {
+	if back != *rec {
 		t.Fatalf("round-trip mismatch: %+v vs %+v", back, rec)
 	}
 }

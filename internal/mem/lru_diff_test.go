@@ -252,20 +252,21 @@ func TestPackedCacheMatchesTimestampLRU(t *testing.T) {
 				if viaAccess {
 					hit = sys.Access(now, a, write).Hit
 				} else {
-					hit = sys.AccessModule(mi, now, a, write).Hit
+					res, _ := sys.accessModule(mi, now, a, write)
+					hit = res.Hit
 				}
 				if want := ref.access(mi, a, write); hit != want {
 					t.Fatalf("seed %d step %d: hit = %v, reference %v", seed, step, hit, want)
 				}
 				if viaAccess && !hit && sys.Prefetch {
-					// Access fills the next line; AccessModule never does.
+					// Access fills the next line; accessModule never does.
 					next := a + config.CacheLineBytes
 					ref.prefetch(HashAddress(next, sys.Modules()), next)
 				}
 			case op < 900:
 				a := addr()
 				mi := HashAddress(a, sys.Modules())
-				sys.PrefetchInto(mi, now, a)
+				sys.prefetchInto(mi, now, a)
 				ref.prefetch(mi, a)
 			case op < 930:
 				if got, want := sys.Flush(), ref.flush(); got != want {

@@ -15,13 +15,8 @@
 //     configuration), bounding off-chip bandwidth;
 //   - dirty evictions consume writeback bandwidth.
 //
-// Sharding: all mutable state and statistics are per-module or
-// per-channel, and AccessModule / PrefetchInto touch exactly one module
-// plus its channel. A caller that partitions modules so that modules
-// sharing a DRAM channel stay together (see ChannelOf) may therefore
-// drive disjoint module sets from concurrent shards without locks; the
-// aggregate statistics methods (Hits, Misses, ...) are only safe when
-// the shards are quiescent, e.g. at a synchronization barrier.
+// All mutable state and statistics are per-module or per-channel; the
+// aggregate statistics methods (Hits, Misses, ...) sum them on demand.
 package mem
 
 import (
@@ -113,9 +108,7 @@ const (
 )
 
 // channel is one DRAM channel: a bandwidth port plus an open-row
-// register modeling the row buffer. Statistics live here (not on the
-// System) so that shards owning disjoint channel sets never share
-// counters.
+// register modeling the row buffer, with its statistics.
 type channel struct {
 	port    sim.Port
 	openRow uint64
@@ -158,9 +151,8 @@ type module struct {
 	prefetches uint64
 
 	// Fault-injection state (nil stream = injection off for this
-	// module). The stream is per-module so concurrent shards draw
-	// independently and each module's error sequence depends only on
-	// its own access order — deterministic for any worker count.
+	// module). The stream is per-module, so each module's error
+	// sequence depends only on its own access order.
 	faultStream  *fault.Stream
 	eccCorrected uint64
 	eccUncorrect uint64
@@ -189,7 +181,7 @@ type System struct {
 	Prefetch bool
 
 	// Fault-injection parameters, immutable after EnableFaults (set
-	// before simulation starts; read concurrently by shards).
+	// before simulation starts).
 	ber     float64 // per-line-fetch single-bit error probability
 	dber    float64 // per-line-fetch double-bit error probability
 	eccOn   bool
@@ -250,38 +242,25 @@ func (s *System) Config() config.Config { return s.cfg }
 // Modules returns the number of memory modules.
 func (s *System) Modules() int { return len(s.modules) }
 
-// ChannelOf returns the DRAM channel index serving module mi. Shard
-// partitions must keep all modules of one channel on the same shard,
-// because the channel port and row-buffer state are shared among them.
-func (s *System) ChannelOf(mi int) int { return mi / s.cfg.MMsPerDRAMCtrl }
-
 // Access performs one word access to addr arriving at its memory module
 // at cycle t (NoC traversal time is the caller's concern) and returns
 // when it completes. Write accesses allocate on miss (fetch-on-write)
-// and mark the line dirty. This is the serial-engine entry point: with
-// prefetching enabled the miss path fills the next line immediately,
-// wherever it hashes to.
+// and mark the line dirty. With prefetching enabled the miss path fills
+// the next line immediately, wherever it hashes to.
 func (s *System) Access(t uint64, addr uint64, write bool) AccessResult {
 	mi := HashAddress(addr, len(s.modules))
 	res, missStart := s.accessModule(mi, t, addr, write)
 	if s.Prefetch && !res.Hit {
 		next := addr + config.CacheLineBytes
-		s.PrefetchInto(HashAddress(next, len(s.modules)), missStart, next)
+		s.prefetchInto(HashAddress(next, len(s.modules)), missStart, next)
 	}
 	return res
 }
 
-// AccessModule performs one word access to addr at module mi (the
+// accessModule performs one word access to addr at module mi (the
 // caller has already hashed the address), touching only that module and
-// its DRAM channel — the shard-safe request path. It never prefetches:
-// in sharded operation the next line usually lives on another shard, so
-// the caller turns the miss into a boundary message and later calls
-// PrefetchInto on the owning shard.
-func (s *System) AccessModule(mi int, t uint64, addr uint64, write bool) AccessResult {
-	res, _ := s.accessModule(mi, t, addr, write)
-	return res
-}
-
+// its DRAM channel. It never prefetches; it also returns the cycle a
+// miss's line fetch started, from which Access issues the prefetch.
 func (s *System) accessModule(mi int, t uint64, addr uint64, write bool) (AccessResult, uint64) {
 	m := &s.modules[mi]
 
@@ -349,13 +328,12 @@ func (s *System) accessModule(mi int, t uint64, addr uint64, write bool) (Access
 	return AccessResult{Done: done, Hit: false, Module: mi, Fault: fv}, start
 }
 
-// PrefetchInto fills the line containing addr into module mi (which the
+// prefetchInto fills the line containing addr into module mi (which the
 // caller has determined by hashing) if absent, starting the channel
 // transfer at cycle t. The demand access that triggered it does not
 // wait; the fill consumes channel bandwidth and a cache way like any
-// other fill. A resident line keeps its recency. Touches only module mi
-// and its channel.
-func (s *System) PrefetchInto(mi int, t uint64, addr uint64) {
+// other fill. A resident line keeps its recency.
+func (s *System) prefetchInto(mi int, t uint64, addr uint64) {
 	m := &s.modules[mi]
 	tag := addr / config.CacheLineBytes
 	set := s.set(mi, tag)
@@ -395,8 +373,7 @@ func (s *System) FaultsEnabled() bool { return s.faulted }
 
 // ECCStats returns aggregate fault outcomes: SECDED-corrected
 // single-bit errors, detected-uncorrectable double-bit errors, and
-// silent errors (injection with ECC disabled). Like the other
-// aggregates, safe only when shards are quiescent.
+// silent errors (injection with ECC disabled).
 func (s *System) ECCStats() (corrected, uncorrectable, silent uint64) {
 	for _, m := range s.modules {
 		corrected += m.eccCorrected
@@ -429,9 +406,7 @@ func (s *System) Flush() int {
 // constructing cold-cache scenarios).
 func (s *System) Invalidate() { clear(s.tags) }
 
-// Aggregate statistics, summed over modules/channels on demand. Reading
-// them concurrently with shard execution is a race; call only from
-// single-threaded phases or at window barriers.
+// Aggregate statistics, summed over modules/channels on demand.
 
 // Hits returns total cache-slice hits.
 func (s *System) Hits() uint64 {

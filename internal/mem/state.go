@@ -63,9 +63,8 @@ type SystemState struct {
 	Channels []ChannelState
 }
 
-// CaptureState captures the system's state. Safe only when the machine
-// is quiescent (no shard is touching modules), like the aggregate
-// statistics methods.
+// CaptureState captures the system's state. Call it only when the
+// machine is quiescent (no access in flight).
 func (s *System) CaptureState() SystemState {
 	st := SystemState{
 		Prefetch: s.Prefetch,

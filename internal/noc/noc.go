@@ -51,13 +51,6 @@ type Network interface {
 	// Packets returns how many packets have traversed the network
 	// (requests and replies).
 	Packets() uint64
-	// AddReplies credits n reply packets to the packet counter without
-	// computing their timing. The sharded machine computes reply arrival
-	// times shard-locally (replies are contention-free, pure latency) and
-	// reports them to the coordinator at window barriers, which calls
-	// this so the network stays the single source of truth for packet
-	// accounting.
-	AddReplies(n uint64)
 }
 
 // MoT is a pure mesh-of-trees network: non-blocking, fixed latency.
@@ -89,9 +82,6 @@ func (m *MoT) Latency() uint64 { return m.latency }
 
 // Packets implements Network.
 func (m *MoT) Packets() uint64 { return m.packets }
-
-// AddReplies implements Network.
-func (m *MoT) AddReplies(n uint64) { m.packets += n }
 
 // Hybrid is a MoT outer network around b inner butterfly levels. Each
 // butterfly level is an array of single-packet-per-cycle switch ports;
@@ -183,9 +173,6 @@ func (h *Hybrid) Latency() uint64 { return h.latency }
 
 // Packets implements Network.
 func (h *Hybrid) Packets() uint64 { return h.packets }
-
-// AddReplies implements Network.
-func (h *Hybrid) AddReplies(n uint64) { h.packets += n }
 
 // New returns the appropriate switch-level network for cfg: a pure MoT
 // when cfg.ButterflyLevels is zero, otherwise a Hybrid.

@@ -14,11 +14,10 @@ package noc
 // protecting both directions would only scale the same overhead).
 //
 // Determinism: drop/corrupt outcomes come from one fault.Stream drawn
-// once per send attempt, in network send order. Both engines call into
-// the wrapper from a deterministic serialization point (the serial
-// event loop, or the sharded coordinator's barrier, which merges
-// messages in (time, shard, seq) order), so for a fixed seed every run
-// experiences the identical fault sequence at every -sim-workers count.
+// once per send attempt, in network send order. The machine calls into
+// the wrapper only from the engine's deterministically ordered event
+// loop, so for a fixed seed every run experiences the identical fault
+// sequence.
 
 import (
 	"fmt"
@@ -65,7 +64,7 @@ type FaultObserver func(cycle uint64, ev FaultEvent, src, dst, attempt int)
 // Network by delegation so machine-level accounting (Packets, Latency)
 // keeps a single source of truth; the protected request path is
 // TraverseReliable. Like the underlying networks it is not safe for
-// concurrent use — both engines call it from a single goroutine.
+// concurrent use — the engine calls it from a single goroutine.
 type Reliable struct {
 	inner   Network
 	rng     *fault.Stream
@@ -195,9 +194,6 @@ func (r *Reliable) Latency() uint64 { return r.inner.Latency() }
 // Packets implements Network. Retransmissions traversed the inner
 // network, so they are already included.
 func (r *Reliable) Packets() uint64 { return r.inner.Packets() }
-
-// AddReplies implements Network.
-func (r *Reliable) AddReplies(n uint64) { r.inner.AddReplies(n) }
 
 // String describes the wrapper's configuration (diagnostics).
 func (r *Reliable) String() string {

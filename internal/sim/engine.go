@@ -13,7 +13,7 @@
 // so scheduling allocates nothing: the hot simulation paths (the XMT
 // machine's segment continuations) use records exclusively. Both kinds
 // share one queue and one (time, seq) order: the slab calendar queue of
-// queue.go, which the sharded engine's shards use as well.
+// queue.go.
 package sim
 
 // Caller receives record events: op discriminates the action, a and b

@@ -81,25 +81,3 @@ func TestEngineRecordOverflowZeroAllocs(t *testing.T) {
 		t.Fatalf("overflow schedule/run allocates %.1f times per batch, want 0", allocs)
 	}
 }
-
-// BenchmarkShardSchedule measures the same schedule/dispatch loop
-// through the sharded engine's serial driver, for comparison with the
-// serial engine above.
-func BenchmarkShardSchedule(b *testing.B) {
-	e := NewParallelEngine(staticPartition{1, 16}, 1)
-	var sum uint64
-	e.SetHandler(0, handlerFunc(func(sh *Shard, t uint64, op uint8, a, bb uint64) {
-		sum += a
-	}))
-	sh := e.Shard(0)
-	const batch = 1024
-	b.ReportAllocs()
-	for i := 0; i < b.N; i += batch {
-		base := e.Now()
-		for j := 0; j < batch; j++ {
-			sh.At(base+uint64(j%16), 0, uint64(j), 0)
-		}
-		e.Run()
-	}
-	_ = sum
-}

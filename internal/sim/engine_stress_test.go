@@ -18,8 +18,7 @@ func (c *seqCaller) Call(t uint64, op uint8, a, b uint64) {
 // handful of cycles, from both the outside and from within running
 // events, interleaving closure (Schedule/At) and record (AtCall) forms.
 // Global scheduling order must be preserved within each cycle regardless
-// of form — the property the sharded engine's differential tests build
-// on.
+// of form — the property the golden cycle counts rest on.
 func TestEngineSameCycleFIFOHeavy(t *testing.T) {
 	e := New()
 	c := &seqCaller{}

@@ -2,30 +2,22 @@ package sim
 
 import "math/bits"
 
-// The one event-queue implementation, shared by the serial Engine and
-// every ParallelEngine shard: a slab-backed calendar queue. Per-cycle
+// The engine's event queue: a slab-backed calendar queue. Per-cycle
 // FIFO bucket chains cover a fixed horizon of cycles; their records live
 // in one reusable flat slab, and a (time, seq) min-heap holds events
 // beyond the horizon. Scheduling and popping are O(1), allocation-free
 // in steady state, and touch only small contiguous arrays — the design
 // exists because both a ring of independent per-bucket slices and a
 // binary heap of 56-byte events put a cache miss on nearly every push or
-// pop (each was once the hottest function in its engine's profile).
+// pop (each was once the hottest function in the engine's profile).
 
-// Ring spans in cycles. Events further out than the span go to the
-// overflow heap. A queue that carries a whole machine's events (the
-// serial Engine, the parallel engine's serial driver) uses the wide
-// ring: in 3D FFT runs, 29% of pushes land 2048 or more cycles ahead on
-// the 64k hybrid machine at 128x128x64 (9% on 4k at 128^3), but only
-// 1.3% (2.4%) land 16384 or more ahead, and the narrow ring costs 5-14%
-// more simulation time on the 64k run. The parallel driver keeps one ring
-// per shard, so it uses the narrow span: a wide ring per cluster would
-// cost 256 MB at 64k. Both are powers of two so a bucket index is a
-// mask.
-const (
-	horizonCycles = 2048
-	serialHorizon = 16384
-)
+// serialHorizon is the Engine's ring span in cycles. Events further out
+// go to the overflow heap. In 3D FFT runs, 29% of pushes land 2048 or
+// more cycles ahead on the 64k hybrid machine at 128x128x64 (9% on 4k at
+// 128^3), but only 1.3% (2.4%) land 16384 or more ahead, and a 2048-cycle
+// ring costs 5-14% more simulation time on the 64k run. It is a power of
+// two so a bucket index is a mask.
+const serialHorizon = 16384
 
 // nilIdx terminates a bucket chain.
 const nilIdx = int32(-1)
@@ -36,8 +28,8 @@ const noEvent = ^uint64(0)
 // slabRec is one bucketed event record in the shared slab. Bucketed
 // records carry no time (the bucket's cycle is the time) and no sequence
 // number (FIFO order is the chain order), so a record is 24 bytes. who
-// is the serial engine's handler index (0 for a closure, whose function
-// sits in the engine's side slab at index a); shards leave it 0.
+// is the engine's handler index (0 for a closure, whose function sits in
+// the engine's side slab at index a).
 type slabRec struct {
 	a, b uint64
 	next int32 // next record in the same bucket chain, nilIdx at the tail
@@ -239,31 +231,6 @@ func (q *bucketQueue) rebase(t uint64) {
 		panic("sim: rebase of a non-empty queue")
 	}
 	q.base, q.scan = t, t
-}
-
-// earliestByWho returns the earliest queued time of each record owner,
-// indexed by who < n (noEvent for owners with none). It walks the whole
-// queue, so it serves diagnostics only.
-func (q *bucketQueue) earliestByWho(n int) []uint64 {
-	best := make([]uint64, n)
-	for i := range best {
-		best[i] = noEvent
-	}
-	note := func(t uint64, who uint16) {
-		if t < best[who] {
-			best[who] = t
-		}
-	}
-	// Bucketed times lie in [base, base+span), one cycle per bucket.
-	for t := q.base; t-q.base <= q.mask && q.bkts != nil; t++ {
-		for i := q.bkts[t&q.mask].head; i >= 0; i = q.recs[i].next {
-			note(t, q.recs[i].who)
-		}
-	}
-	for _, r := range q.overflow {
-		note(r.time, r.who)
-	}
-	return best
 }
 
 // recHeap is a (time, seq) min-heap for overflow events.

@@ -6,13 +6,18 @@ import (
 )
 
 // White-box audit of the slab-backed bucketQueue against a naive
-// reference queue. The queue's usage contract (from Shard/runWindow):
+// reference queue. The queue's usage contract (from Engine.Step):
 // pushes never precede base, advanceBase(t) is only called when every
 // event below t has been executed, and pops always take the global
 // minimum. Within that contract the queue must behave exactly like a
 // sorted list popped in (time, insertion order): the bucket chains, the
 // overflow heap, promotions between them and the wrap-free membership
 // test are all implementation detail.
+
+// testSpan is the ring span of the queues under test. It is far
+// narrower than the engine's serialHorizon, so the op sequences below
+// reach the overflow heap and its promotions often.
+const testSpan = 2048
 
 // refEvent is one event in the naive reference queue.
 type refEvent struct {
@@ -54,7 +59,7 @@ func (r refQueue) min() (uint64, bool) {
 	return best, true
 }
 
-// popMin mirrors runWindow's drain of exactly one event: advance the
+// popMin mirrors Engine.Step's drain of exactly one event: advance the
 // ring floor to the minimum (promoting overflow records) and unlink the
 // head of that cycle's bucket chain.
 func popMin(t *testing.T, q *bucketQueue) (uint64, uint64) {
@@ -79,7 +84,7 @@ func popMin(t *testing.T, q *bucketQueue) (uint64, uint64) {
 func checkQueueSequence(t *testing.T, startBase uint64, ops []byte) {
 	t.Helper()
 	q := &bucketQueue{}
-	q.init(horizonCycles)
+	q.init(testSpan)
 	q.advanceBase(startBase)
 	var ref refQueue
 	var nextID uint64
@@ -87,7 +92,7 @@ func checkQueueSequence(t *testing.T, startBase uint64, ops []byte) {
 	// never overflow uint64 when base sits near the top of the range (the
 	// engine never wraps: t >= now >= base always holds there).
 	maxOffset := func() uint64 {
-		off := uint64(4 * horizonCycles)
+		off := uint64(4 * testSpan)
 		if room := ^uint64(0) - q.base; room < off {
 			off = room
 		}
@@ -170,9 +175,9 @@ func TestBucketQueueProperty(t *testing.T) {
 	bases := []uint64{
 		0,
 		1,
-		horizonCycles - 1,
-		^uint64(0) - 16*horizonCycles, // near-overflow: wrap-free subtraction regime
-		^uint64(0) - horizonCycles/2,  // less than one horizon of headroom
+		testSpan - 1,
+		^uint64(0) - 16*testSpan, // near-overflow: wrap-free subtraction regime
+		^uint64(0) - testSpan/2,  // less than one horizon of headroom
 	}
 	for _, base := range bases {
 		rng := rand.New(rand.NewSource(int64(base%1e9) + 7))
@@ -189,27 +194,66 @@ func TestBucketQueueProperty(t *testing.T) {
 // reusable afterwards.
 func TestBucketQueueEmpty(t *testing.T) {
 	q := &bucketQueue{}
-	q.init(horizonCycles)
+	q.init(testSpan)
 	if _, ok := q.min(); ok {
 		t.Fatal("empty queue reports a min")
 	}
 	if mt := q.minTime(); mt != noEvent {
 		t.Fatalf("empty minTime = %d, want noEvent", mt)
 	}
-	q.advanceBase(5 * horizonCycles)
-	q.advanceBase(5 * horizonCycles) // t == base no-op
-	q.advanceBase(3 * horizonCycles) // t < base no-op
+	q.advanceBase(5 * testSpan)
+	q.advanceBase(5 * testSpan) // t == base no-op
+	q.advanceBase(3 * testSpan) // t < base no-op
 	if _, ok := q.min(); ok || q.count != 0 {
 		t.Fatal("advanceBase on empty queue left state behind")
 	}
-	q.push(5*horizonCycles+3, 0, 1, 42, 0)
+	q.push(5*testSpan+3, 0, 1, 42, 0)
 	mt, ok := q.min()
-	if !ok || mt != 5*horizonCycles+3 {
-		t.Fatalf("min after reuse = (%d,%v), want (%d,true)", mt, ok, 5*horizonCycles+3)
+	if !ok || mt != 5*testSpan+3 {
+		t.Fatalf("min after reuse = (%d,%v), want (%d,true)", mt, ok, 5*testSpan+3)
 	}
 	gotT, gotID := popMin(t, q)
-	if gotT != 5*horizonCycles+3 || gotID != 42 {
+	if gotT != 5*testSpan+3 || gotID != 42 {
 		t.Fatalf("pop after reuse = (%d,%d)", gotT, gotID)
+	}
+}
+
+// TestBucketQueueRandomized drives the queue through the engine: random
+// first events and random follow-ups spread over several ring spans, so
+// records cross between the ring and the overflow heap while the engine
+// runs. Every event fires, in nondecreasing time order.
+func TestBucketQueueRandomized(t *testing.T) {
+	c := &randomChain{e: New(), rng: rand.New(rand.NewSource(42))}
+	for i := 0; i < 500; i++ {
+		c.e.AtCall(uint64(c.rng.Intn(4*serialHorizon)), c, 0, 6, 0)
+		c.scheduled++
+	}
+	c.e.Run()
+	if len(c.fired) != c.scheduled {
+		t.Fatalf("fired %d events, scheduled %d", len(c.fired), c.scheduled)
+	}
+	for i := 1; i < len(c.fired); i++ {
+		if c.fired[i] < c.fired[i-1] {
+			t.Fatalf("time went backwards: %d after %d", c.fired[i], c.fired[i-1])
+		}
+	}
+}
+
+// randomChain records each event's time and, one time in three,
+// schedules a follow-up up to three ring spans ahead while its depth
+// budget a lasts.
+type randomChain struct {
+	e         *Engine
+	rng       *rand.Rand
+	fired     []uint64
+	scheduled int
+}
+
+func (c *randomChain) Call(t uint64, op uint8, a, b uint64) {
+	c.fired = append(c.fired, t)
+	if a > 0 && c.rng.Intn(3) == 0 {
+		c.e.AtCall(t+uint64(c.rng.Intn(3*serialHorizon)), c, 0, a-1, 0)
+		c.scheduled++
 	}
 }
 
@@ -218,8 +262,8 @@ func TestBucketQueueEmpty(t *testing.T) {
 // `go test -fuzz=FuzzBucketQueue ./internal/sim` explores.
 func FuzzBucketQueue(f *testing.F) {
 	f.Add(uint64(0), []byte{10, 1, 200, 10, 2, 100, 150, 230, 7, 160})
-	f.Add(^uint64(0)-16*horizonCycles, []byte{10, 200, 200, 10, 0, 1, 255, 255, 160, 160})
-	f.Add(uint64(horizonCycles-1), []byte{0, 255, 255, 0, 0, 0, 230, 0, 170, 170, 170})
+	f.Add(^uint64(0)-16*testSpan, []byte{10, 200, 200, 10, 0, 1, 255, 255, 160, 160})
+	f.Add(uint64(testSpan-1), []byte{0, 255, 255, 0, 0, 0, 230, 0, 170, 170, 170})
 	f.Fuzz(func(t *testing.T, base uint64, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]
@@ -233,10 +277,10 @@ func FuzzBucketQueue(f *testing.F) {
 // allocate nothing.
 func TestBucketQueueHotPathZeroAllocs(t *testing.T) {
 	q := &bucketQueue{}
-	q.init(horizonCycles)
-	// Warm the slab, the freelist and the outbox-free pop path.
+	q.init(testSpan)
+	// Warm the slab and the freelist.
 	for i := uint64(0); i < 256; i++ {
-		q.push(q.base+i%horizonCycles, 0, 0, i, 0)
+		q.push(q.base+i%testSpan, 0, 0, i, 0)
 	}
 	for q.count > 0 {
 		popMin(t, q)
@@ -263,11 +307,11 @@ func TestBucketQueueHotPathZeroAllocs(t *testing.T) {
 // by TestBucketQueueHotPathZeroAllocs; the pair tracks ns/op drift).
 func BenchmarkSlabQueuePush(b *testing.B) {
 	q := &bucketQueue{}
-	q.init(horizonCycles)
+	q.init(testSpan)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.push(q.base+uint64(i%horizonCycles), 0, 0, uint64(i), 0)
-		if q.count >= horizonCycles {
+		q.push(q.base+uint64(i%testSpan), 0, 0, uint64(i), 0)
+		if q.count >= testSpan {
 			// Bound memory: drop everything by resetting chains via pops.
 			b.StopTimer()
 			for q.count > 0 {
@@ -282,7 +326,7 @@ func BenchmarkSlabQueuePush(b *testing.B) {
 
 func BenchmarkSlabQueuePushPop(b *testing.B) {
 	q := &bucketQueue{}
-	q.init(horizonCycles)
+	q.init(testSpan)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q.push(q.base+uint64(i%257), 0, 0, uint64(i), 0)

@@ -55,42 +55,3 @@ func TestCaptureRefusesPendingEvents(t *testing.T) {
 		t.Fatal("restore onto an engine with a pending event succeeded")
 	}
 }
-
-// countHandler is a minimal ShardHandler for state tests.
-type countHandler struct{ n *int }
-
-func (h countHandler) Event(sh *Shard, t uint64, op uint8, a, b uint64) { *h.n++ }
-
-// TestParallelCaptureRefusesPendingEvents does the same for the sharded
-// engine: any shard with queued work blocks capture, and a captured
-// state only restores onto an engine with the same shard count.
-func TestParallelCaptureRefusesPendingEvents(t *testing.T) {
-	build := func(shards int) *ParallelEngine {
-		e := NewParallelEngine(staticPartition{shards, 8}, 2)
-		n := 0
-		for i := 0; i < shards; i++ {
-			e.SetHandler(i, countHandler{&n})
-		}
-		return e
-	}
-	e := build(4)
-	e.Shard(2).At(5, 0, 0, 0)
-	if _, err := e.CaptureState(); err == nil {
-		t.Fatal("capture with a pending shard event succeeded")
-	}
-	e.Run()
-	st, err := e.CaptureState()
-	if err != nil {
-		t.Fatalf("capture after drain: %v", err)
-	}
-	if len(st.Shards) != 4 {
-		t.Fatalf("captured %d shards, want 4", len(st.Shards))
-	}
-
-	if err := build(4).RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	if err := build(3).RestoreState(st); err == nil {
-		t.Fatal("restore of a 4-shard state onto a 3-shard engine succeeded")
-	}
-}

@@ -1,39 +1,32 @@
 package sim
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Telemetry is the engines' live publication surface: a set of atomic
+// Telemetry is the engine's live publication surface: a set of atomic
 // counters a concurrent observer (the harness's /metrics HTTP server)
 // may read at any time while the simulation runs. It deliberately knows
 // nothing about metric names or exposition formats — internal/harness
 // bridges it onto an internal/metrics registry.
 //
 // The contract mirrors tracing's zero-overhead-when-off guarantee
-// (DESIGN.md §5): a nil telemetry sink costs the serial engine one
-// predictable branch per event and the parallel engine one per window,
-// and an installed sink is write-only from the engine side — it can
-// never change event order, cycle counts, or statistics. The serial
-// engine batches its publishes (every telemetryBatch events, plus on
-// queue drain) so the per-event cost stays a counter increment; the
-// parallel engine publishes at window barriers, where all shards are
-// parked and coordinator-side reads of shard state are race-free.
+// (DESIGN.md §5): a nil telemetry sink costs the engine one predictable
+// branch per event, and an installed sink is write-only from the engine
+// side — it can never change event order, cycle counts, or statistics.
+// The engine batches its publishes (every telemetryBatch events, plus on
+// queue drain) so the per-event cost stays a counter increment.
 //
-// Counters (Events, Windows, Messages, per-shard Events) are deltas
-// accumulated with Add, so one Telemetry can be shared across a
-// sequence of engines — an ablation sweep builds a fresh machine per
-// variant and the totals keep rising monotonically. Frontier values
-// (Cycle, Pending, per-shard Cycle/Pending) are Store'd snapshots of
-// the currently attached engine.
+// Events is a delta accumulated with Add, so one Telemetry can be shared
+// across a sequence of engines — an ablation sweep builds a fresh
+// machine per variant and the total keeps rising monotonically. Frontier
+// values (Cycle, Pending) are Store'd snapshots of the currently
+// attached engine.
 type Telemetry struct {
-	Cycle    atomic.Uint64 // simulated-cycle frontier of the attached engine
-	Events   atomic.Uint64 // events executed (cumulative across engines)
-	Pending  atomic.Uint64 // events currently queued
-	Windows  atomic.Uint64 // parallel windows completed (cumulative)
-	Messages atomic.Uint64 // cross-shard messages merged (cumulative)
+	Cycle   atomic.Uint64 // simulated-cycle frontier of the attached engine
+	Events  atomic.Uint64 // events executed (cumulative across engines)
+	Pending atomic.Uint64 // events currently queued
 
 	// WatchdogLast is the cycle of the latest watchdog progress mark;
 	// WatchdogWindow its abort threshold. Both zero when no watchdog is
@@ -45,65 +38,15 @@ type Telemetry struct {
 	// engine publish — the liveness heartbeat. A scraper computes the
 	// heartbeat age to tell "simulator wedged" from "simulator slow".
 	lastPublish atomic.Int64
-
-	mu     sync.Mutex
-	shards atomic.Pointer[[]*ShardTelemetry]
 }
 
-// ShardTelemetry is one shard's live counters. The serial engine
-// publishes itself as shard 0 so observers always see a per-shard view.
-type ShardTelemetry struct {
-	Cycle   atomic.Uint64 // shard clock at last publish
-	Events  atomic.Uint64 // events executed on this shard (cumulative)
-	Pending atomic.Uint64 // events queued on this shard at last publish
-}
-
-// telemetryBatch is the serial engine's publish stride in events: large
-// enough that the amortized publish cost vanishes, small enough that a
-// scrape is never more than a few microseconds of simulation stale.
+// telemetryBatch is the engine's publish stride in events: large enough
+// that the amortized publish cost vanishes, small enough that a scrape
+// is never more than a few microseconds of simulation stale.
 const telemetryBatch = 1024
 
-// telemetryWindowStride is the parallel engine's full-shard-sweep
-// stride in windows; the cheap frontier counters publish every window.
-const telemetryWindowStride = 16
-
-// EnsureShards grows the per-shard slice to at least n entries,
-// preserving existing entries (and their accumulated counts), and
-// returns the slice. Safe to call concurrently with readers.
-func (t *Telemetry) EnsureShards(n int) []*ShardTelemetry {
-	if cur := t.shards.Load(); cur != nil && len(*cur) >= n {
-		return *cur
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cur := t.shards.Load()
-	if cur != nil && len(*cur) >= n {
-		return *cur
-	}
-	var old []*ShardTelemetry
-	if cur != nil {
-		old = *cur
-	}
-	next := make([]*ShardTelemetry, n)
-	copy(next, old)
-	for i := len(old); i < n; i++ {
-		next[i] = &ShardTelemetry{}
-	}
-	t.shards.Store(&next)
-	return next
-}
-
-// ShardView returns the current per-shard telemetry entries (possibly
-// nil before any engine attached). The slice is immutable; entries are
-// read with their atomic loads.
-func (t *Telemetry) ShardView() []*ShardTelemetry {
-	if p := t.shards.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// Beat stamps the liveness heartbeat; engines call it on every publish.
+// Beat stamps the liveness heartbeat; the engine calls it on every
+// publish.
 func (t *Telemetry) Beat() { t.lastPublish.Store(time.Now().UnixNano()) }
 
 // HeartbeatAge returns the wall-clock time since the last engine
@@ -116,22 +59,18 @@ func (t *Telemetry) HeartbeatAge(now time.Time) (time.Duration, bool) {
 	return now.Sub(time.Unix(0, ns)), true
 }
 
-// --- serial engine ---
-
-// SetTelemetry installs (or, with nil, removes) a live telemetry sink
-// on the serial engine. The engine publishes itself as shard 0. Like
-// SetHook, the nil check is one branch per event, so the off state
+// SetTelemetry installs (or, with nil, removes) a live telemetry sink.
+// Like SetHook, the nil check is one branch per event, so the off state
 // keeps the engine's zero-overhead contract.
 func (e *Engine) SetTelemetry(t *Telemetry) {
 	e.tel = t
 	e.telFlushed = e.Processed
 	if t != nil {
-		t.EnsureShards(1)
 		e.publishTelemetry()
 	}
 }
 
-// publishTelemetry flushes the serial engine's state to the sink.
+// publishTelemetry flushes the engine's state to the sink.
 func (e *Engine) publishTelemetry() {
 	t := e.tel
 	delta := e.Processed - e.telFlushed
@@ -143,71 +82,5 @@ func (e *Engine) publishTelemetry() {
 		t.WatchdogLast.Store(e.wd.last)
 		t.WatchdogWindow.Store(e.wd.Window)
 	}
-	sh := t.ShardView()[0]
-	sh.Events.Add(delta)
-	sh.Cycle.Store(e.now)
-	sh.Pending.Store(uint64(e.q.count))
 	t.Beat()
-}
-
-// --- parallel engine ---
-
-// SetTelemetry installs (or removes) a live telemetry sink on the
-// parallel engine: cheap frontier counters publish at every window
-// barrier, a full per-shard sweep every telemetryWindowStride windows
-// and when Run returns. Publishes happen only while worker goroutines
-// are parked at the barrier, so shard reads are race-free.
-func (e *ParallelEngine) SetTelemetry(t *Telemetry) {
-	e.tel = t
-	if t == nil {
-		e.telShardFlushed = nil
-		return
-	}
-	t.EnsureShards(len(e.shards))
-	if e.telShardFlushed == nil {
-		e.telShardFlushed = make([]uint64, len(e.shards))
-		for i := range e.shards {
-			e.telShardFlushed[i] = e.shards[i].Processed
-		}
-	}
-	e.telMsgFlushed = e.Messages
-	e.telWinFlushed = e.Windows
-	e.publishShards()
-}
-
-// publishWindow flushes the cheap per-window counters.
-func (e *ParallelEngine) publishWindow() {
-	t := e.tel
-	t.Cycle.Store(e.now)
-	t.Windows.Add(e.Windows - e.telWinFlushed)
-	e.telWinFlushed = e.Windows
-	t.Messages.Add(e.Messages - e.telMsgFlushed)
-	e.telMsgFlushed = e.Messages
-	if e.wd != nil {
-		t.WatchdogLast.Store(e.wd.last)
-		t.WatchdogWindow.Store(e.wd.Window)
-	}
-	t.Beat()
-}
-
-// publishShards additionally sweeps per-shard counters and the total
-// event/pending tallies.
-func (e *ParallelEngine) publishShards() {
-	t := e.tel
-	view := t.ShardView()
-	var events, pending uint64
-	for i := range e.shards {
-		sh := &e.shards[i]
-		st := view[i]
-		delta := sh.Processed - e.telShardFlushed[i]
-		e.telShardFlushed[i] = sh.Processed
-		events += delta
-		pending += uint64(sh.Pending())
-		st.Events.Add(delta)
-		st.Cycle.Store(sh.now)
-		st.Pending.Store(uint64(sh.Pending()))
-	}
-	t.Events.Add(events)
-	t.Pending.Store(pending)
-	e.publishWindow()
 }

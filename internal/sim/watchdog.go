@@ -8,7 +8,7 @@ import (
 // Watchdog detects no-progress windows (livelock) in a simulation: the
 // model marks forward progress (Progress) at semantically meaningful
 // points — thread completions, load-group completions, section starts —
-// and the engines abort when simulated time runs more than Window
+// and the engine aborts when simulated time runs more than Window
 // cycles past the last mark. The canonical livelock this catches is a
 // NoC retransmit storm: events keep firing (so the queue never drains)
 // but no thread ever completes, and without the watchdog the process
@@ -17,12 +17,12 @@ import (
 // The abort is a typed panic carrying a *WatchdogError with a dump of
 // engine queue state; xmt.Machine.Spawn recovers it and returns it as
 // an ordinary error. A watchdog never fires while progress marks keep
-// arriving, and checking it costs one nil-guarded compare per event
-// (serial engine) or per window (parallel engine), so an installed but
-// untriggered watchdog cannot change a run's cycle counts.
+// arriving, and checking it costs one nil-guarded compare per event, so
+// an installed but untriggered watchdog cannot change a run's cycle
+// counts.
 type Watchdog struct {
 	// Window is the abort threshold: the maximum simulated-cycle gap
-	// allowed between a progress mark and the next event or window.
+	// allowed between a progress mark and the next event.
 	Window uint64
 
 	last uint64
@@ -35,8 +35,7 @@ func NewWatchdog(window uint64) *Watchdog {
 
 // Progress records forward progress at the given cycle. Calls are
 // monotonic-max: marking an earlier cycle than the latest is a no-op.
-// Not safe for concurrent use — call only from the serial event loop
-// or the parallel engine's coordinator.
+// Not safe for concurrent use — call only from the event loop.
 func (w *Watchdog) Progress(cycle uint64) {
 	if cycle > w.last {
 		w.last = cycle
@@ -68,13 +67,13 @@ func (e *WatchdogError) Error() string {
 		e.Now-e.LastProgress, e.LastProgress, e.Now, e.Window, e.Dump)
 }
 
-// SetWatchdog installs (or, with nil, removes) a livelock watchdog on
-// the serial engine. The check is one nil-guarded compare in Step, so
-// the disabled path keeps the engine's zero-overhead contract.
+// SetWatchdog installs (or, with nil, removes) a livelock watchdog. The
+// check is one nil-guarded compare in Step, so the disabled path keeps
+// the engine's zero-overhead contract.
 func (e *Engine) SetWatchdog(w *Watchdog) { e.wd = w }
 
-// dumpState renders the serial engine's queue state for a watchdog
-// abort: clock, events executed, and the pending-event horizon.
+// dumpState renders the engine's queue state for a watchdog abort:
+// clock, events executed, and the pending-event horizon.
 func (e *Engine) dumpState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "serial engine: now=%d processed=%d pending=%d", e.now, e.Processed, e.q.count)
@@ -82,37 +81,5 @@ func (e *Engine) dumpState() string {
 		fmt.Fprintf(&b, " next=%d", t)
 	}
 	b.WriteByte('\n')
-	return b.String()
-}
-
-// SetWatchdog installs (or removes) a livelock watchdog on the parallel
-// engine; it is checked once per window in Run.
-func (e *ParallelEngine) SetWatchdog(w *Watchdog) { e.wd = w }
-
-// dumpState renders per-shard queue state for a watchdog abort: each
-// shard's clock, executed-event count, pending-event count and earliest
-// pending time, plus engine window/message totals — the view needed to
-// see which shard a retransmit storm is circling through.
-func (e *ParallelEngine) dumpState() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "parallel engine: now=%d windows=%d messages=%d window=%d\n",
-		e.now, e.Windows, e.Messages, e.window)
-	var next []uint64 // serial driver: each shard's earliest pending time
-	if e.shared {
-		next = e.q.earliestByWho(len(e.shards))
-	}
-	for i := range e.shards {
-		sh := &e.shards[i]
-		fmt.Fprintf(&b, "  shard %d: now=%d processed=%d pending=%d outbox=%d",
-			sh.ID, sh.now, sh.Processed, sh.Pending(), len(sh.out))
-		t, ok := sh.q.min()
-		if e.shared {
-			t, ok = next[i], next[i] != noEvent
-		}
-		if ok {
-			fmt.Fprintf(&b, " next=%d", t)
-		}
-		b.WriteByte('\n')
-	}
 	return b.String()
 }

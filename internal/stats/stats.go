@@ -237,8 +237,6 @@ func (h *Histogram) Count() uint64 { return h.total }
 
 // Merge folds all of o's samples into h. The bucket widths must match:
 // merging histograms of different granularity would silently misbucket.
-// Used to reduce per-shard recorder histograms into one stream at a
-// parallel section's join.
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.total == 0 {
 		return

@@ -13,8 +13,6 @@
 package trace
 
 import (
-	"sort"
-
 	"xmtfft/internal/stats"
 )
 
@@ -283,52 +281,6 @@ func (r *Recorder) AddSample(s Sample) {
 	r.HitHist.Observe(pct(s.HitRate))
 	if s.Outstanding >= 0 {
 		r.OutstandingHist.Observe(uint64(s.Outstanding))
-	}
-}
-
-// MergeFrom folds the events of the given part recorders into r in
-// deterministic order — sorted by event start cycle, ties broken by part
-// rank (position in the argument list) and then by the event's position
-// within its part. The sharded machine gives each shard its own
-// recorder during a parallel section and merges them here at the join,
-// so the exported stream is one ordered sequence regardless of how many
-// shards (or workers) produced it. Part ranks must therefore be stable
-// across runs (e.g. shard index), or determinism is lost.
-//
-// Thread-lifetime histograms are merged too; nil parts are skipped.
-// Parts are expected to carry events only (no samples): epoch samples
-// are produced centrally at window barriers and appended directly.
-func (r *Recorder) MergeFrom(parts ...*Recorder) {
-	type tagged struct {
-		rank, idx int
-	}
-	var tags []tagged
-	for rank, p := range parts {
-		if p == nil {
-			continue
-		}
-		for idx := range p.Events {
-			tags = append(tags, tagged{rank, idx})
-		}
-	}
-	sort.Slice(tags, func(i, j int) bool {
-		a, b := tags[i], tags[j]
-		sa, sb := parts[a.rank].Events[a.idx].Start, parts[b.rank].Events[b.idx].Start
-		if sa != sb {
-			return sa < sb
-		}
-		if a.rank != b.rank {
-			return a.rank < b.rank
-		}
-		return a.idx < b.idx
-	})
-	for _, t := range tags {
-		r.Events = append(r.Events, parts[t.rank].Events[t.idx])
-	}
-	for _, p := range parts {
-		if p != nil {
-			r.ThreadLife.Merge(p.ThreadLife)
-		}
 	}
 }
 

@@ -13,15 +13,9 @@ import (
 
 // liveRun executes the differential workload suite on a machine with
 // the requested observers attached and returns everything comparable.
-func liveRun(t *testing.T, cfg config.Config, workers int, withTrace, withLive bool) (shardedRun, *metrics.Registry, *Machine) {
+func liveRun(t *testing.T, cfg config.Config, withTrace, withLive bool) (suiteRun, *metrics.Registry, *Machine) {
 	t.Helper()
-	var m *Machine
-	var err error
-	if workers > 0 {
-		m, err = NewParallel(cfg, workers)
-	} else {
-		m, err = New(cfg)
-	}
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +30,7 @@ func liveRun(t *testing.T, cfg config.Config, workers int, withTrace, withLive b
 		m.AttachLiveMetrics(metrics.NewMachineSet(reg), 64)
 		m.SetTelemetry(&sim.Telemetry{})
 	}
-	var out shardedRun
+	var out suiteRun
 	for _, w := range diffWorkloads(cfg.TCUs) {
 		m.EnablePrefetch(w.prefetch)
 		m.Section(w.name)
@@ -58,47 +52,45 @@ func liveRun(t *testing.T, cfg config.Config, workers int, withTrace, withLive b
 // TestLiveMetricsZeroPerturbation is the bit-identical off-state test:
 // attaching the live metrics sampler (alone or chained after the trace
 // sampler) must not change spawn results, counters, or — when tracing —
-// the recorded event and sample streams, on either engine.
+// the recorded event and sample streams.
 func TestLiveMetricsZeroPerturbation(t *testing.T) {
 	cfg, err := config.FourK().Scaled(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 4} {
-		ref, _, _ := liveRun(t, cfg, workers, true, false)
-		got, _, _ := liveRun(t, cfg, workers, true, true)
-		if !reflect.DeepEqual(got.results, ref.results) {
-			t.Errorf("workers=%d: live metrics perturbed SpawnResults", workers)
-		}
-		if !reflect.DeepEqual(got.ctrs, ref.ctrs) {
-			t.Errorf("workers=%d: live metrics perturbed counters", workers)
-		}
-		if !reflect.DeepEqual(got.events, ref.events) {
-			t.Errorf("workers=%d: live metrics perturbed trace events", workers)
-		}
-		if !reflect.DeepEqual(got.samples, ref.samples) {
-			t.Errorf("workers=%d: live metrics perturbed epoch samples", workers)
-		}
+	ref, _, _ := liveRun(t, cfg, true, false)
+	got, _, _ := liveRun(t, cfg, true, true)
+	if !reflect.DeepEqual(got.results, ref.results) {
+		t.Error("live metrics perturbed SpawnResults")
+	}
+	if !reflect.DeepEqual(got.ctrs, ref.ctrs) {
+		t.Error("live metrics perturbed counters")
+	}
+	if !reflect.DeepEqual(got.events, ref.events) {
+		t.Error("live metrics perturbed trace events")
+	}
+	if !reflect.DeepEqual(got.samples, ref.samples) {
+		t.Error("live metrics perturbed epoch samples")
+	}
 
-		// Live metrics without tracing must also match the no-observer run.
-		bare, _, _ := liveRun(t, cfg, workers, false, false)
-		solo, _, _ := liveRun(t, cfg, workers, false, true)
-		if !reflect.DeepEqual(solo.results, bare.results) || !reflect.DeepEqual(solo.ctrs, bare.ctrs) {
-			t.Errorf("workers=%d: live metrics alone perturbed the run", workers)
-		}
+	// Live metrics without tracing must also match the no-observer run.
+	bare, _, _ := liveRun(t, cfg, false, false)
+	solo, _, _ := liveRun(t, cfg, false, true)
+	if !reflect.DeepEqual(solo.results, bare.results) || !reflect.DeepEqual(solo.ctrs, bare.ctrs) {
+		t.Error("live metrics alone perturbed the run")
 	}
 }
 
 // TestLiveMetricsPublishedValues checks that after a run (plus a final
 // flush) the bridged registry holds the machine's exact totals and the
 // exposition parses cleanly with all the series the acceptance criteria
-// name: per-shard event rates, utilization, faults, watchdog heartbeat.
+// name: event counts, utilization, faults, watchdog heartbeat.
 func TestLiveMetricsPublishedValues(t *testing.T) {
 	cfg, err := config.FourK().Scaled(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewParallel(cfg, 2)
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,24 +148,13 @@ func TestLiveMetricsPublishedValues(t *testing.T) {
 		t.Error("xmtfft_util_dram missing")
 	}
 
-	// Engine telemetry: per-shard series present and consistent.
+	// Engine telemetry: totals consistent with the machine.
 	stats := m.SimStats()
 	if got := tel.Events.Load(); got != stats.Events {
 		t.Errorf("telemetry events = %d, want %d", got, stats.Events)
 	}
 	if got := tel.Cycle.Load(); got != m.Now() {
 		t.Errorf("telemetry cycle = %d, want %d", got, m.Now())
-	}
-	view := tel.ShardView()
-	if len(view) != cfg.Clusters {
-		t.Fatalf("telemetry shard count = %d, want %d", len(view), cfg.Clusters)
-	}
-	var shardSum uint64
-	for _, sh := range view {
-		shardSum += sh.Events.Load()
-	}
-	if shardSum != stats.Events {
-		t.Errorf("per-shard event sum = %d, want %d", shardSum, stats.Events)
 	}
 	if tel.WatchdogWindow.Load() != 1<<30 {
 		t.Errorf("watchdog window not published: %d", tel.WatchdogWindow.Load())

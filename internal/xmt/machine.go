@@ -89,10 +89,6 @@ type Machine struct {
 	// without per-event closures.
 	tcus []tcuState
 
-	// par is non-nil when the machine runs on the sharded parallel engine
-	// (NewParallel); the legacy single-queue path above is bypassed.
-	par *shardedMachine
-
 	// Resilience state (see fault.go): rnet is non-nil when NoC fault
 	// injection wraps the network (m.network aliases it), wd is the
 	// installed livelock watchdog, dead marks fail-stopped clusters (nil
@@ -148,43 +144,16 @@ func (m *Machine) Memory() *mem.System { return m.memory }
 func (m *Machine) Network() noc.Network { return m.network }
 
 // Now returns the machine's current cycle.
-func (m *Machine) Now() uint64 {
-	if m.par != nil {
-		return m.par.now
-	}
-	return m.engine.Now()
-}
+func (m *Machine) Now() uint64 { return m.engine.Now() }
 
-// Workers returns the simulation worker count: 0 for the legacy serial
-// engine, >= 1 for the sharded engine (1 being its serial driver).
-func (m *Machine) Workers() int {
-	if m.par == nil {
-		return 0
-	}
-	return m.par.eng.Workers()
-}
-
-// SimStats reports engine-level execution statistics: events executed
-// and, on the sharded engine, windows advanced, barrier synchronizations
-// that delivered messages, and boundary messages merged. Purely
-// diagnostic — used by the simulator benchmark record.
+// SimStats reports engine-level execution statistics. Purely diagnostic
+// — used by the simulator benchmark records.
 type SimStats struct {
-	Events   uint64
-	Windows  uint64
-	Barriers uint64
-	Messages uint64
+	Events uint64 // discrete events executed
 }
 
 // SimStats returns the machine's engine statistics so far.
 func (m *Machine) SimStats() SimStats {
-	if m.par != nil {
-		s := SimStats{Windows: m.par.eng.Windows, Barriers: m.par.eng.Barriers,
-			Messages: m.par.eng.Messages}
-		for i := 0; i < m.par.eng.Shards(); i++ {
-			s.Events += m.par.eng.Shard(i).Processed
-		}
-		return s
-	}
 	return SimStats{Events: m.engine.Processed}
 }
 
@@ -223,10 +192,6 @@ func (m *Machine) Section(name string) {
 // AdvanceSerial models serial-mode MTCU work of the given length
 // (e.g. setup between parallel sections).
 func (m *Machine) AdvanceSerial(cycles uint64) {
-	if m.par != nil {
-		m.par.advance(cycles)
-		return
-	}
 	m.engine.RunUntil(m.engine.Now() + cycles)
 }
 
@@ -263,9 +228,6 @@ func (m *Machine) Spawn(n int, prog Program) (SpawnResult, error) {
 	}
 	if m.outstanding != 0 || m.prog != nil {
 		return SpawnResult{}, fmt.Errorf("xmt: spawn while a parallel section is active")
-	}
-	if m.par != nil {
-		return m.par.spawn(n, prog)
 	}
 	alive, err := m.aliveTCUs()
 	if err != nil {
@@ -371,12 +333,6 @@ func (m *Machine) syncMemCounters() {
 // up by TCUs through the same prefix-sum allocation path as the
 // original thread range.
 func (m *Machine) ExtendSpawn(k int) (int, error) {
-	if m.par != nil {
-		// Threads run concurrently on worker goroutines in sharded mode;
-		// letting them grow the shared id space mid-flight would race.
-		// The ISA VM (the only sspawn user) runs on the legacy engine.
-		return 0, fmt.Errorf("xmt: ExtendSpawn is not supported on the sharded parallel engine")
-	}
 	if m.prog == nil {
 		return 0, fmt.Errorf("xmt: ExtendSpawn outside a parallel section")
 	}

@@ -64,12 +64,6 @@ type Program interface {
 	// may perform the thread's actual (functional) computation eagerly
 	// here, since threads within a parallel section are independent by
 	// the PRAM contract.
-	//
-	// On the sharded parallel engine (NewParallel) Thread is invoked
-	// from worker goroutines, concurrently for threads on different
-	// clusters. Implementations must tolerate that: compute purely from
-	// id, or touch only id-indexed disjoint data — which the PRAM
-	// independence contract already requires of a correct XMT program.
 	Thread(id int, buf []Op) []Op
 }
 

@@ -6,11 +6,6 @@ import (
 	"xmtfft/internal/config"
 )
 
-// Snapshot coverage for sharded mode: snapshots are defined to be read
-// at spawn boundaries (all shards parked), where they must be
-// bit-identical across worker counts, and the counters with an exact
-// cross-engine meaning must match the legacy serial engine too.
-
 // snapshotSuite runs the differential workload suite, capturing a
 // snapshot at every spawn boundary.
 func snapshotSuite(t *testing.T, m *Machine) []Snapshot {
@@ -27,79 +22,37 @@ func snapshotSuite(t *testing.T, m *Machine) []Snapshot {
 	return snaps
 }
 
-func TestShardedSnapshotWorkerCountInvariance(t *testing.T) {
-	cfg, err := config.FourK().Scaled(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func(workers int) *Machine {
-		m, err := NewParallel(cfg, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	ref := snapshotSuite(t, build(1))
-	for _, workers := range []int{2, 4} {
-		got := snapshotSuite(t, build(workers))
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d: %d snapshots, want %d", workers, len(got), len(ref))
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Errorf("workers=%d: snapshot %d diverged\n got %+v\nwant %+v",
-					workers, i, got[i], ref[i])
-			}
-		}
-	}
-	// Sanity: the suite actually consumed resources.
-	last := ref[len(ref)-1]
-	if last.FPUBusy == 0 || last.LSUBusy == 0 || last.DRAMBusy == 0 || last.NoCPackets == 0 {
-		t.Errorf("final snapshot has idle resources: %+v", last)
-	}
-}
-
-// TestSnapshotMatchesSerialEngineAtBoundaries compares the snapshot
-// counters with an exact cross-engine definition: FPUBusy (one slot per
-// FLOP), LSUBusy (one slot per load/store issue) and NoCPackets
-// (request + reply per load, request per store). DRAMBusy is excluded —
-// channel interleaving legitimately differs between the two engines'
-// canonical event orders (DESIGN.md §7).
+// TestSnapshotMatchesSerialEngineAtBoundaries ties the snapshot busy
+// counters at spawn boundaries back to the op counts exactly: FPUBusy
+// (one slot per FLOP), LSUBusy (one slot per load/store issue) and
+// NoCPackets (request + reply per load, request per store).
 func TestSnapshotMatchesSerialEngineAtBoundaries(t *testing.T) {
 	cfg, err := config.FourK().Scaled(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leg, err := New(cfg)
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shd, err := NewParallel(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legSnaps := snapshotSuite(t, leg)
-	shdSnaps := snapshotSuite(t, shd)
-	for i := range legSnaps {
-		l, s := legSnaps[i], shdSnaps[i]
-		if l.FPUBusy != s.FPUBusy || l.LSUBusy != s.LSUBusy || l.NoCPackets != s.NoCPackets {
-			t.Errorf("boundary %d: legacy (fpu=%d lsu=%d noc=%d) vs sharded (fpu=%d lsu=%d noc=%d)",
-				i, l.FPUBusy, l.LSUBusy, l.NoCPackets, s.FPUBusy, s.LSUBusy, s.NoCPackets)
+	snaps := snapshotSuite(t, m)
+	for i := 1; i < len(snaps); i++ {
+		if snaps[i].Cycle <= snaps[i-1].Cycle {
+			t.Errorf("boundary %d: cycle %d not after %d", i, snaps[i].Cycle, snaps[i-1].Cycle)
 		}
 	}
-	lc, sc := leg.Counters, shd.Counters
-	if lc.FPOps != sc.FPOps || lc.Loads != sc.Loads || lc.Stores != sc.Stores {
-		t.Errorf("op counts diverged: legacy %+v vs sharded %+v", lc, sc)
+	c := m.Counters
+	last := snaps[len(snaps)-1]
+	if last.FPUBusy == 0 || last.LSUBusy == 0 || last.DRAMBusy == 0 || last.NoCPackets == 0 {
+		t.Errorf("final snapshot has idle resources: %+v", last)
 	}
-	// The busy counters tie back to the op counts exactly.
-	last := shdSnaps[len(shdSnaps)-1]
-	if last.FPUBusy != sc.FPOps {
-		t.Errorf("FPUBusy %d != FPOps %d", last.FPUBusy, sc.FPOps)
+	if last.FPUBusy != c.FPOps {
+		t.Errorf("FPUBusy %d != FPOps %d", last.FPUBusy, c.FPOps)
 	}
-	if last.LSUBusy != sc.Loads+sc.Stores {
-		t.Errorf("LSUBusy %d != Loads+Stores %d", last.LSUBusy, sc.Loads+sc.Stores)
+	if last.LSUBusy != c.Loads+c.Stores {
+		t.Errorf("LSUBusy %d != Loads+Stores %d", last.LSUBusy, c.Loads+c.Stores)
 	}
-	if want := 2*sc.Loads + sc.Stores; last.NoCPackets != want {
+	if want := 2*c.Loads + c.Stores; last.NoCPackets != want {
 		t.Errorf("NoCPackets %d != 2*Loads+Stores %d", last.NoCPackets, want)
 	}
 }
