@@ -69,6 +69,7 @@ type ServeBenchRecord struct {
 	CoalesceWaitUs float64          `json:"coalesce_wait_us"`
 	GoMaxProcs     int              `json:"go_max_procs"`
 	NumCPU         int              `json:"num_cpu"`
+	GoVersion      string           `json:"go_version"`
 	GOOS           string           `json:"goos"`
 	GOARCH         string           `json:"goarch"`
 	Levels         []loadgen.Result `json:"levels"`
@@ -109,7 +110,7 @@ func RunServeBench(opts ServeBenchOptions) (*ServeBenchRecord, error) {
 		Requests: opts.Requests, MaxInflight: opts.MaxInflight, MaxBatch: opts.MaxBatch,
 		CoalesceWaitUs: float64(opts.CoalesceWait.Nanoseconds()) / 1e3,
 		GoMaxProcs:     runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
+		GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
 	}
 	base := "http://" + ln.Addr().String()
 	for _, c := range opts.Concurrency {

@@ -25,7 +25,7 @@ func TestRunServeBench(t *testing.T) {
 	if rec.N != 64 || rec.Dtype != "complex64" || rec.Requests != 24 {
 		t.Errorf("config echo wrong: n=%d dtype=%q requests=%d", rec.N, rec.Dtype, rec.Requests)
 	}
-	if rec.GoMaxProcs < 1 || rec.NumCPU < 1 || rec.GOOS == "" || rec.GOARCH == "" {
+	if rec.GoMaxProcs < 1 || rec.NumCPU < 1 || rec.GoVersion == "" || rec.GOOS == "" || rec.GOARCH == "" {
 		t.Errorf("runtime metadata missing: %+v", rec)
 	}
 	if len(rec.Levels) != 3 {

@@ -54,11 +54,16 @@ const (
 // design hashes the global address space across MMs at cache-line
 // granularity; we use a Fibonacci (multiplicative) hash so that both
 // unit-stride and large-power-of-two-stride streams spread evenly, which
-// is the property the real hash is chosen for.
+// is the property the real hash is chosen for. A power-of-two module
+// count, which Config.Validate requires of machines, takes a mask
+// instead of the division, with the same result.
 func HashAddress(addr uint64, modules int) int {
 	line := addr / config.CacheLineBytes
-	h := line * 0x9E3779B97F4A7C15 // 2^64 / golden ratio
-	return int(h >> 32 % uint64(modules))
+	h := line * 0x9E3779B97F4A7C15 >> 32 // 2^64 / golden ratio
+	if m := uint64(modules); m&(m-1) == 0 {
+		return int(h & (m - 1))
+	}
+	return int(h % uint64(modules))
 }
 
 // Fault classifies the DRAM bit-error outcome of one access (fault
@@ -248,7 +253,12 @@ func (s *System) Modules() int { return len(s.modules) }
 // and mark the line dirty. With prefetching enabled the miss path fills
 // the next line immediately, wherever it hashes to.
 func (s *System) Access(t uint64, addr uint64, write bool) AccessResult {
-	mi := HashAddress(addr, len(s.modules))
+	return s.AccessAt(HashAddress(addr, len(s.modules)), t, addr, write)
+}
+
+// AccessAt is Access for a caller that has already hashed addr to its
+// module, mi = HashAddress(addr, Modules()), to route the request.
+func (s *System) AccessAt(mi int, t uint64, addr uint64, write bool) AccessResult {
 	res, missStart := s.accessModule(mi, t, addr, write)
 	if s.Prefetch && !res.Hit {
 		next := addr + config.CacheLineBytes

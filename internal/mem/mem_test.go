@@ -27,6 +27,19 @@ func TestHashAddressRange(t *testing.T) {
 	}
 }
 
+// The mask a power-of-two module count takes gives the remainder the
+// general path computes.
+func TestHashAddressPowerOfTwoMask(t *testing.T) {
+	f := func(addr uint64, logMods uint8) bool {
+		m := 1 << (logMods % 16)
+		h := addr / config.CacheLineBytes * 0x9E3779B97F4A7C15 >> 32
+		return HashAddress(addr, m) == int(h%uint64(m))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestHashAddressLineGranularity(t *testing.T) {
 	// All words in one cache line must map to the same module.
 	base := uint64(0x12340)

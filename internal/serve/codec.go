@@ -13,8 +13,8 @@ package serve
 //     pairs decode the same way, a duplicate key updates the field in
 //     place (a second "batch" merges into the first, a second "data"
 //     reuses its backing array), null leaves strings, ints and
-//     elements alone and clears slices and pointers, and numbers go
-//     through the same strconv calls;
+//     elements alone and clears slices and pointers, and numbers convert
+//     to the same bits (floatconv.go);
 //   - the encoder writes the bytes json.NewEncoder(w).Encode(resp)
 //     writes, trailing newline included, and refuses non-finite
 //     samples as encoding/json does.
@@ -120,7 +120,7 @@ func parseRequest(b []byte) (*Request, error) {
 		err := d.object(requestFields, func(field int) error {
 			switch field {
 			case 0:
-				return decodeArray(d, &q.Dims, parseInt)
+				return decodeArray(d, &q.Dims)
 			case 1:
 				return d.stringField(&q.Dtype)
 			case 2:
@@ -130,7 +130,7 @@ func parseRequest(b []byte) (*Request, error) {
 			case 4:
 				return d.batch(&q.Batch)
 			default:
-				return decodeArray(d, &q.Data, parseFloat)
+				return decodeArray(d, &q.Data)
 			}
 		})
 		if err != nil {
@@ -269,13 +269,9 @@ func (d *decoder) intField(dst *int) error {
 	if d.null() {
 		return nil
 	}
-	tok, err := d.number()
+	v, err := d.int()
 	if err != nil {
 		return err
-	}
-	v, err := parseInt(tok)
-	if err != nil {
-		return d.errorf("%v", err)
 	}
 	*dst = v
 	return nil
@@ -299,7 +295,7 @@ func (d *decoder) stringField(dst *string) error {
 // the existing backing array, which grows only when full; null leaves
 // an element unchanged; the slice is cut to the array's length; an
 // empty array yields an empty non-nil slice; a null array yields nil.
-func decodeArray[T int | float64](d *decoder, dst *[]T, parse func([]byte) (T, error)) error {
+func decodeArray[T int | float64](d *decoder, dst *[]T) error {
 	if d.null() {
 		*dst = nil
 		return nil
@@ -330,15 +326,17 @@ func decodeArray[T int | float64](d *decoder, dst *[]T, parse func([]byte) (T, e
 				}
 			}
 			if !d.null() {
-				tok, err := d.number()
+				// Direct calls, not a func value, keep d on the stack.
+				var err error
+				switch p := any(&s[i]).(type) {
+				case *int:
+					*p, err = d.int()
+				case *float64:
+					*p, err = d.float()
+				}
 				if err != nil {
 					return err
 				}
-				v, err := parse(tok)
-				if err != nil {
-					return d.errorf("%v", err)
-				}
-				s[i] = v
 			}
 			i++
 			d.skipSpace()
@@ -358,60 +356,37 @@ func decodeArray[T int | float64](d *decoder, dst *[]T, parse func([]byte) (T, e
 	return nil
 }
 
-// parseInt and parseFloat convert a JSON number token exactly as
-// encoding/json does for int and float64 targets.
-func parseInt(tok []byte) (int, error) {
+// int decodes the JSON number at the cursor as encoding/json does for
+// an int target: only an integer literal in range is accepted.
+func (d *decoder) int() (int, error) {
+	_, _, _, _, end, msg := scanNumber(d.b, d.i)
+	if msg != "" {
+		return 0, d.errorf("%s", msg)
+	}
+	tok := d.b[d.i:end]
+	d.i = end
 	v, err := strconv.ParseInt(string(tok), 10, 64)
-	return int(v), err
+	if err != nil {
+		return 0, d.errorf("%v", err)
+	}
+	return int(v), nil
 }
 
-func parseFloat(tok []byte) (float64, error) {
-	return strconv.ParseFloat(string(tok), 64)
-}
-
-// number scans the JSON number at the cursor and returns its bytes:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (d *decoder) number() ([]byte, error) {
-	b, i := d.b, d.i
-	if i < len(b) && b[i] == '-' {
-		i++
+// float decodes the JSON number at the cursor to the float64
+// strconv.ParseFloat returns for it (floatconv.go), in one scan that
+// checks the grammar and collects the digits.
+func (d *decoder) float() (float64, error) {
+	man, exp10, neg, trunc, end, msg := scanNumber(d.b, d.i)
+	if msg != "" {
+		return 0, d.errorf("%s", msg)
 	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i+1)
-	default:
-		return nil, d.errorf("expected a number")
+	tok := d.b[d.i:end]
+	d.i = end
+	f, err := toFloat64(tok, man, exp10, neg, trunc)
+	if err != nil {
+		return 0, d.errorf("%v", err)
 	}
-	if i < len(b) && b[i] == '.' {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
-			return nil, d.errorf("expected a digit after the decimal point")
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := skipDigits(b, i)
-		if j == i {
-			return nil, d.errorf("expected a digit in the exponent")
-		}
-		i = j
-	}
-	tok := b[d.i:i]
-	d.i = i
-	return tok, nil
-}
-
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
+	return f, nil
 }
 
 // str scans the JSON string at the cursor and returns its unquoted
@@ -558,24 +533,4 @@ func appendResponse[C fft.Complex](b []byte, q *Request, batched int, x []C) ([]
 		b = appendFloat(b, im)
 	}
 	return append(b, "]}\n"...), nil
-}
-
-// appendFloat formats a finite float64 as encoding/json does: the
-// shortest representation, in exponent form only when |f| < 1e-6 or
-// |f| >= 1e21, with a one-digit negative exponent unpadded (e-7, not
-// e-07).
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		n := len(b)
-		if b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }

@@ -433,7 +433,7 @@ func TestStageHistograms(t *testing.T) {
 
 // benchRequest is the benchmark's request: n=1024 complex64 forward,
 // float32-exact normal samples, marshalled as clients send it.
-func benchRequest(b *testing.B) ([]byte, []complex64) {
+func benchRequest(tb testing.TB) ([]byte, []complex64) {
 	const n = 1024
 	rng := rand.New(rand.NewSource(1))
 	x := make([]complex64, n)
@@ -445,7 +445,7 @@ func benchRequest(b *testing.B) ([]byte, []complex64) {
 	}
 	body, err := json.Marshal(&Request{Dims: []int{n}, Dtype: dtypeC64, Dir: "forward", Data: data})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return body, x
 }

@@ -436,7 +436,7 @@ func (m *Machine) execSegments(t *tcuState, i int, now uint64) {
 					m.schedule(t, i, arrive)
 					return
 				}
-				res := m.memory.Access(arrive, addr, false)
+				res := m.memory.AccessAt(dst, arrive, addr, false)
 				ret := m.network.Reply(res.Done)
 				if ret > done {
 					done = ret
@@ -473,7 +473,7 @@ func (m *Machine) execSegments(t *tcuState, i int, now uint64) {
 					m.schedule(t, i, arrive)
 					return
 				}
-				res := m.memory.Access(arrive, addr, true)
+				res := m.memory.AccessAt(dst, arrive, addr, true)
 				if res.Done > m.lastDone {
 					m.lastDone = res.Done // join waits for store completion
 				}
